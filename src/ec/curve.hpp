@@ -39,8 +39,7 @@ class CurveCtx {
   using A = AffinePoint<L>;
   using J = JacPoint<L>;
 
-  explicit CurveCtx(const Fp& fp)
-      : fp_(fp), three_(fp_.from_uint(UInt<L>::from_u64(3))) {}
+  explicit CurveCtx(const Fp& fp) : fp_(fp) {}
 
   [[nodiscard]] const Fp& fp() const { return fp_; }
 
@@ -71,8 +70,8 @@ class CurveCtx {
     const auto y2 = fp_.sqr(p.Y);
     const auto s = fp_.dbl(fp_.dbl(fp_.mul(p.X, y2)));            // 4XY^2
     const auto z2 = fp_.sqr(p.Z);
-    const auto m = fp_.add(fp_.mul(three_, fp_.sqr(p.X)),  // 3X^2 + Z^4 (a = 1)
-                           fp_.sqr(z2));
+    const auto x2 = fp_.sqr(p.X);
+    const auto m = fp_.add(fp_.add(x2, fp_.dbl(x2)), fp_.sqr(z2));  // 3X^2 + Z^4 (a = 1)
     const auto x3 = fp_.sub(fp_.sqr(m), fp_.dbl(s));
     const auto y4 = fp_.sqr(y2);
     const auto y3 = fp_.sub(fp_.mul(m, fp_.sub(s, x3)), fp_.dbl(fp_.dbl(fp_.dbl(y4))));
@@ -165,20 +164,6 @@ class CurveCtx {
     return mul_wnaf(p, k);
   }
 
-  /// Plain MSB-first double-and-add (reference implementation; wNAF is
-  /// differentially tested against it).
-  template <std::size_t LE>
-  [[nodiscard]] A mul_binary(const A& p, const UInt<LE>& k) const {
-    J acc{fp_.one(), fp_.one(), fp_.zero()};
-    const J base = to_jac(p);
-    const std::size_t n = k.bit_length();
-    for (std::size_t i = n; i-- > 0;) {
-      acc = dbl(acc);
-      if (k.bit(i)) acc = add(acc, base);
-    }
-    return to_affine(acc);
-  }
-
   /// Width-4 wNAF scalar multiplication: ~b doublings + b/5 additions using
   /// 8 precomputed odd multiples (vs b/2 additions for binary).
   template <std::size_t LE>
@@ -241,38 +226,66 @@ class CurveCtx {
     return to_affine(acc);
   }
 
-  /// Reference binary interleaving (the pre-fast-lane multi_mul); kept for
-  /// differential tests against the wNAF/mixed-add path above.
+  /// [k]P for every P in ps, bit-identical to mul(p, k): an x-only
+  /// Montgomery ladder (5M + 4S per bit) with Okeya-Sakurai y-recovery, the
+  /// denominators of all points (Z of [k]P and [k+1]P, 2y_P) sharing ONE
+  /// batched inversion.
   template <std::size_t LE>
-  [[nodiscard]] A multi_mul_binary(std::span<const A> points,
-                                   std::span<const UInt<LE>> ks) const {
-    if (points.size() != ks.size())
-      throw std::invalid_argument("CurveCtx::multi_mul: size mismatch");
-    std::size_t nbits = 0;
-    for (const auto& k : ks) nbits = std::max(nbits, k.bit_length());
-    std::vector<J> bases;
-    bases.reserve(points.size());
-    for (const auto& p : points) bases.push_back(to_jac(p));
-    J acc{fp_.one(), fp_.one(), fp_.zero()};
-    for (std::size_t i = nbits; i-- > 0;) {
-      acc = dbl(acc);
-      for (std::size_t j = 0; j < bases.size(); ++j)
-        if (ks[j].bit(i)) acc = add(acc, bases[j]);
+  [[nodiscard]] std::vector<A> mul_ladder_many(std::span<const A> ps, const UInt<LE>& k) const {
+    std::vector<A> out(ps.size());  // infinity unless set below
+    std::vector<Ladder> ls(ps.size());
+    std::vector<UInt<L>> dens;
+    std::vector<std::size_t> idx;
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      const A& p = ps[i];
+      if (p.inf || k.is_zero()) continue;
+      // (0, 0) is the only 2-torsion point (x^2 + 1 is irreducible); x-only
+      // differential addition degenerates on it, and [k](0,0) is immediate.
+      if (fp_.is_zero(p.y)) {
+        if (k.is_odd()) out[i] = p;
+        continue;
+      }
+      ls[i] = ladder(p.x, k);
+      if (fp_.is_zero(ls[i].Z0)) continue;  // [k]P = O
+      if (fp_.is_zero(ls[i].Z1)) {          // [k+1]P = O, so [k]P = -P
+        out[i] = neg(p);
+        continue;
+      }
+      idx.push_back(i);
+      dens.insert(dens.end(), {ls[i].Z0, ls[i].Z1, fp_.dbl(p.y)});
     }
-    return to_affine(acc);
+    fp_.batch_inv(dens);
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      const A& p = ps[idx[j]];
+      const Ladder& l = ls[idx[j]];
+      // Q = [k]P, R = [k+1]P = Q + P:
+      //   y_Q = ((x_Q x_P + 1)(x_Q + x_P) - (x_Q - x_P)^2 x_R) / (2 y_P).
+      const auto xq = fp_.mul(l.X0, dens[3 * j]);
+      const auto xr = fp_.mul(l.X1, dens[3 * j + 1]);
+      const auto lhs = fp_.mul(fp_.add(fp_.mul(xq, p.x), fp_.one()), fp_.add(xq, p.x));
+      const auto num = fp_.sub(lhs, fp_.mul(fp_.sqr(fp_.sub(xq, p.x)), xr));
+      out[idx[j]] = A{xq, fp_.mul(num, dens[3 * j + 2]), false};
+    }
+    return out;
   }
 
-  /// Lift an x-coordinate (Montgomery form) to a point if x^3 + x is square.
-  [[nodiscard]] std::optional<A> lift_x(const UInt<L>& x, bool y_sign) const {
+  /// Lift an x-coordinate (Montgomery form) to the point with y odd iff
+  /// y_odd, if x^3 + x is square.
+  [[nodiscard]] std::optional<A> lift_x(const UInt<L>& x, bool y_odd) const {
+    const A p = lift_x_or_neg(x, y_odd);
+    if (!fp_.eq(p.x, x)) return std::nullopt;
+    return p;
+  }
+
+  /// The point over x or -x, whichever is on the curve, with y of the
+  /// requested parity: one exponentiation, no rejection. For q == 3 (mod 4)
+  /// and f(x) = x^3 + x, f(-x) = -f(x) and -1 is a non-square, so
+  /// c = f(x)^((q+1)/4) has c^2 = f(x) or c^2 = f(-x).
+  [[nodiscard]] A lift_x_or_neg(const UInt<L>& x, bool y_odd) const {
     const auto rhs = fp_.add(fp_.mul(fp_.sqr(x), x), x);
-    const auto y = fp_.sqrt(rhs);
-    if (!y) return std::nullopt;
-    auto yy = *y;
-    // Canonical sign: choose the root whose raw integer form is even, then
-    // flip if y_sign requests the other one.
-    const bool canonical_odd = fp_.to_uint(yy).is_odd();
-    if (canonical_odd != y_sign) yy = fp_.neg(yy);
-    return A{x, yy, false};
+    const auto c = fp_.sqrt_or_neg(rhs);
+    const auto y = fp_.to_uint(c).is_odd() == y_odd ? c : fp_.neg(c);
+    return A{fp_.eq(fp_.sqr(c), rhs) ? x : fp_.neg(x), y, false};
   }
 
   [[nodiscard]] J neg_jac(const J& p) const { return J{p.X, fp_.neg(p.Y), p.Z}; }
@@ -285,8 +298,47 @@ class CurveCtx {
   }
 
  private:
+  /// x([k]P) = X0/Z0 and x([k+1]P) = X1/Z1 (Z = 0 is the point at infinity).
+  struct Ladder {
+    UInt<L> X0{}, Z0{}, X1{}, Z1{};
+  };
+
+  /// Montgomery ladder on x alone, k > 0, P not 2-torsion. Differential
+  /// addition uses the affine difference x_P (Z = 1); doubling is the A = 0
+  /// formula scaled by 2, so it needs no (A + 2)/4 constant:
+  ///   t1 = (X+Z)^2, t2 = (X-Z)^2, t3 = t1 - t2,
+  ///   X2 = 2 t1 t2,  Z2 = t3 (2 t2 + t3).
+  template <std::size_t LE>
+  [[nodiscard]] Ladder ladder(const UInt<L>& xp, const UInt<LE>& k) const {
+    const auto xdbl = [&](UInt<L>& x, UInt<L>& z) {
+      const auto t1 = fp_.sqr(fp_.add(x, z));
+      const auto t2 = fp_.sqr(fp_.sub(x, z));
+      const auto t3 = fp_.sub(t1, t2);
+      x = fp_.dbl(fp_.mul(t1, t2));
+      z = fp_.mul(t3, fp_.add(fp_.dbl(t2), t3));
+    };
+    // (x, z) <- (x, z) + (xo, zo), whose difference is P.
+    const auto xadd = [&](UInt<L>& x, UInt<L>& z, const UInt<L>& xo, const UInt<L>& zo) {
+      const auto u = fp_.mul(fp_.sub(x, z), fp_.add(xo, zo));
+      const auto v = fp_.mul(fp_.add(x, z), fp_.sub(xo, zo));
+      x = fp_.sqr(fp_.add(u, v));
+      z = fp_.mul(xp, fp_.sqr(fp_.sub(u, v)));
+    };
+    Ladder l{xp, fp_.one(), xp, fp_.one()};
+    xdbl(l.X1, l.Z1);
+    for (std::size_t i = k.bit_length() - 1; i-- > 0;) {
+      if (k.bit(i)) {
+        xadd(l.X0, l.Z0, l.X1, l.Z1);
+        xdbl(l.X1, l.Z1);
+      } else {
+        xadd(l.X1, l.Z1, l.X0, l.Z0);
+        xdbl(l.X0, l.Z0);
+      }
+    }
+    return l;
+  }
+
   Fp fp_;
-  UInt<L> three_;
 };
 
 }  // namespace dlr::ec

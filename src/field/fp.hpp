@@ -7,6 +7,7 @@
 // pairing context that owns the FpCtx.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -90,13 +91,32 @@ class FpCtx {
   [[nodiscard]] bool is_zero(const E& a) const { return a.is_zero(); }
   [[nodiscard]] bool eq(const E& a, const E& b) const { return a == b; }
 
+  /// a^e by left-to-right sliding windows of width 5 over a, a^3, ..., a^31:
+  /// bits(e) squarings and ~bits(e)/6 + 16 multiplications where binary pays
+  /// bits(e)/2 (a 512-bit inversion: ~510S + 255M -> ~510S + 100M).
   template <std::size_t LE>
   [[nodiscard]] E pow(const E& a, const UInt<LE>& e) const {
+    constexpr std::size_t kW = 5;
+    std::array<E, std::size_t{1} << (kW - 1)> odd;
+    odd[0] = a;
+    const E a2 = sqr(a);
+    for (std::size_t k = 1; k < odd.size(); ++k) odd[k] = mul(odd[k - 1], a2);
     E result = one_;
-    const std::size_t n = e.bit_length();
-    for (std::size_t i = n; i-- > 0;) {
-      result = sqr(result);
-      if (e.bit(i)) result = mul(result, a);
+    for (std::size_t i = e.bit_length(); i > 0;) {
+      if (!e.bit(i - 1)) {
+        result = sqr(result);
+        --i;
+        continue;
+      }
+      std::size_t j = i > kW ? i - kW : 0;  // window e[j, i): <= kW bits, odd
+      while (!e.bit(j)) ++j;
+      std::size_t d = 0;
+      for (std::size_t b = i; b-- > j;) {
+        result = sqr(result);
+        d = 2 * d + (e.bit(b) ? 1 : 0);
+      }
+      result = mul(result, odd[d / 2]);
+      i = j;
     }
     return result;
   }
@@ -139,13 +159,17 @@ class FpCtx {
   /// Square root for p == 3 (mod 4): a^((p+1)/4). Returns nullopt if a is a
   /// non-residue. Zero maps to zero.
   [[nodiscard]] std::optional<E> sqrt(const E& a) const {
-    if (a.is_zero()) return a;
-    if ((mod_.limb[0] & 3) != 3)
-      throw std::logic_error("FpCtx::sqrt: only implemented for p == 3 mod 4");
-    const UInt<L> e = mpint::shr(mod_ + UInt<L>::from_u64(1), 2);  // (p+1)/4
-    const E r = pow(a, e);
+    const E r = sqrt_or_neg(a);
     if (!eq(sqr(r), a)) return std::nullopt;
     return r;
+  }
+
+  /// c = a^((p+1)/4) for p == 3 (mod 4): c^2 = a if a is a square, else
+  /// c^2 = -a (-1 is a non-square, so -a is then a square).
+  [[nodiscard]] E sqrt_or_neg(const E& a) const {
+    if ((mod_.limb[0] & 3) != 3)
+      throw std::logic_error("FpCtx::sqrt: only implemented for p == 3 mod 4");
+    return pow(a, mpint::shr(mod_ + UInt<L>::from_u64(1), 2));
   }
 
   /// Uniform element of [0, p), already in Montgomery form.

@@ -18,6 +18,7 @@
 #include <concepts>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "crypto/bytes.hpp"
 #include "crypto/rng.hpp"
@@ -86,5 +87,20 @@ concept BilinearGroup = requires(const GG& gg, crypto::Rng& rng, const typename 
 
   { gg.name() } -> std::convertible_to<std::string>;
 };
+
+/// n independent uniform elements of G: the backend's batched sampler where
+/// it has one (TateGroup), else n calls of g_random.
+template <BilinearGroup GG>
+[[nodiscard]] std::vector<typename GG::G> g_random_many(const GG& gg, crypto::Rng& rng,
+                                                        std::size_t n) {
+  if constexpr (requires { gg.g_random_many(rng, n); }) {
+    return gg.g_random_many(rng, n);
+  } else {
+    std::vector<typename GG::G> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(gg.g_random(rng));
+    return out;
+  }
+}
 
 }  // namespace dlr::group

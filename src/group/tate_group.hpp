@@ -61,6 +61,11 @@ class TateGroup {
   [[nodiscard]] G g_gen() const { return ctx_->generator(); }
   [[nodiscard]] G g_id() const { return G{}; }
   [[nodiscard]] G g_random(crypto::Rng& rng) const { return ctx_->random_point(rng); }
+  /// n independent g_random draws; the n cofactor clearings share one
+  /// batched inversion (native hook behind group::g_random_many).
+  [[nodiscard]] std::vector<G> g_random_many(crypto::Rng& rng, std::size_t n) const {
+    return ctx_->random_points(rng, n);
+  }
   [[nodiscard]] G g_mul(const G& a, const G& b) const { return ctx_->curve().add(a, b); }
   [[nodiscard]] G g_inv(const G& a) const { return ctx_->curve().neg(a); }
   [[nodiscard]] G g_pow(const G& a, const Scalar& s) const { return ctx_->curve().mul(a, s); }

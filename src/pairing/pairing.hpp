@@ -64,20 +64,33 @@ class PairingCtx {
   }
 
   /// Map a curve point of any order into the order-r subgroup.
-  [[nodiscard]] G clear_cofactor(const G& p) const { return curve_.mul(p, h_); }
+  [[nodiscard]] G clear_cofactor(const G& p) const {
+    return curve_.mul_ladder_many(std::span<const G>(&p, 1), h_)[0];
+  }
 
   /// Uniform element of G sampled *without a known discrete log* (the paper's
   /// Section 5 remark requires the a_i and HPSKE coins to be sampled as raw
   /// group elements so their dlogs never enter secret memory).
-  [[nodiscard]] G random_point(crypto::Rng& rng) const {
-    for (;;) {
-      const auto x = fq_.random(rng);
-      const bool sign = rng.coin();
-      const auto p = curve_.lift_x(x, sign);
-      if (!p) continue;
-      const auto g = clear_cofactor(*p);
-      if (!g.inf) return g;
+  [[nodiscard]] G random_point(crypto::Rng& rng) const { return random_points(rng, 1)[0]; }
+
+  /// n independent uniform elements of G. Each draw lifts a uniform x with a
+  /// uniform y parity onto the curve (over x or -x, so every affine point of
+  /// E(F_q) is equally likely), then clears the cofactor and rejects O: the
+  /// image of a uniform point under [h] is uniform on G. The n ladders share
+  /// one batched inversion.
+  [[nodiscard]] std::vector<G> random_points(crypto::Rng& rng, std::size_t n) const {
+    std::vector<G> out;
+    out.reserve(n);
+    while (out.size() < n) {
+      std::vector<G> ps(n - out.size());
+      for (auto& p : ps) {
+        const auto x = fq_.random(rng);
+        p = curve_.lift_x_or_neg(x, rng.coin());
+      }
+      for (const auto& g : curve_.mul_ladder_many(std::span<const G>(ps), h_))
+        if (!g.inf) out.push_back(g);
     }
+    return out;
   }
 
   /// Deterministic hash-to-group (used for the IBE's public matrix U).
@@ -141,10 +154,9 @@ class PairingCtx {
       {
         const auto y2 = fq.sqr(t.Y);
         const auto z2 = fq.sqr(t.Z);
-        const auto m = fq.add(fq.mul(three(), fq.sqr(t.X)), fq.sqr(z2));  // 3X^2 + Z^4
-        // line: real = -2Y^2 + m*(Z^2*xQ' + X) with xQ' = xS...
-        // derived with xS = -xQ:  real = -2Y^2 + m*(Z^2*(-xS) + X)? No:
-        // real = -2Y^2 + m*(Z^2*xQ + X) where xQ = -xS. Use xq = q.x.
+        const auto x2 = fq.sqr(t.X);
+        const auto m = fq.add(fq.add(x2, fq.dbl(x2)), fq.sqr(z2));  // 3X^2 + Z^4
+        // line: real = -2Y^2 + m*(Z^2*xQ + X)
         const auto real = fq.sub(fq.mul(m, fq.add(fq.mul(z2, q.x), t.X)), fq.dbl(y2));
         const auto imag = fq.mul(fq.mul(fq.dbl(fq.mul(t.Y, t.Z)), z2), yq);  // Z3*Z^2*yQ
         const GT line{real, imag};
@@ -232,8 +244,6 @@ class PairingCtx {
     }
   }
 
-  [[nodiscard]] UInt<LQ> three() const { return three_; }
-
   Fq fq_;
   Fq2 fq2_;
   Curve curve_;
@@ -242,7 +252,6 @@ class PairingCtx {
   std::string name_;
   G gen_{};
   GT gt_gen_{};
-  UInt<LQ> three_ = fq_.from_uint(UInt<LQ>::from_u64(3));
 };
 
 // ---- fixed-argument pairing -------------------------------------------------
@@ -338,7 +347,6 @@ class PreparedPairing {
   void precompute(const G& p) {
     const auto& fq = ctx_->fq();
     const auto& cv = ctx_->curve();
-    const auto three = fq.from_uint(UInt<LQ>::from_u64(3));
     const auto& r = ctx_->order();
     ec::JacPoint<LQ> t = cv.to_jac(p);
     const std::size_t nbits = r.bit_length();
@@ -347,7 +355,8 @@ class PreparedPairing {
       {
         const auto y2 = fq.sqr(t.Y);
         const auto z2 = fq.sqr(t.Z);
-        const auto m = fq.add(fq.mul(three, fq.sqr(t.X)), fq.sqr(z2));  // 3X^2 + Z^4
+        const auto x2 = fq.sqr(t.X);
+        const auto m = fq.add(fq.add(x2, fq.dbl(x2)), fq.sqr(z2));  // 3X^2 + Z^4
         steps_.push_back(Step{fq.sub(fq.mul(m, t.X), fq.dbl(y2)),        // c0
                               fq.mul(m, z2),                             // cx
                               fq.mul(fq.dbl(fq.mul(t.Y, t.Z)), z2),      // cy

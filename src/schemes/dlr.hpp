@@ -96,8 +96,7 @@ struct DlrCore {
     out.sk2.s.reserve(prm.ell);
     for (std::size_t i = 0; i < prm.ell; ++i) out.sk2.s.push_back(gg.sc_random(rng));
 
-    out.sk1.a.reserve(prm.ell);
-    for (std::size_t i = 0; i < prm.ell; ++i) out.sk1.a.push_back(gg.g_random(rng));
+    out.sk1.a = group::g_random_many(gg, rng, prm.ell);
     out.sk1.phi = gg.g_mul(out.msk, gg.g_multi_pow(out.sk1.a, out.sk2.s));
 
     ByteWriter w;
@@ -353,21 +352,22 @@ class DlrParty1 {
   [[nodiscard]] Bytes ref_round1() {
     telemetry::ScopedSpan span("ref.round1");
     ensure_period_setup();
-    // Sample the next-share randomness a'_1..a'_l and encrypt it. In compact
-    // mode each a'_i is held raw only transiently (one coordinate at a time).
+    // Sample the next-share randomness a'_1..a'_l and encrypt it; the coins
+    // (and in plain mode the a'_i) come in one batch. In compact mode each
+    // a'_i is drawn alone, held raw only transiently (one at a time).
     next_a_.clear();
     fprime_.clear();
     fprime_.reserve(prm_.ell);
-    if (mode_ == P1Mode::Plain) {
-      next_a_.reserve(prm_.ell);
-      for (std::size_t i = 0; i < prm_.ell; ++i) {
-        next_a_.push_back(gg_.g_random(rng_));
-        fprime_.push_back(hg_.enc(*sigma_, next_a_.back(), rng_));
-      }
+    const bool plain = mode_ == P1Mode::Plain;
+    auto coins = group::g_random_many(gg_, rng_, prm_.ell * (prm_.kappa + (plain ? 1 : 0)));
+    if (plain) {
+      next_a_.assign(coins.end() - static_cast<std::ptrdiff_t>(prm_.ell), coins.end());
+      for (std::size_t i = 0; i < prm_.ell; ++i)
+        fprime_.push_back(enc_with_coins_at(next_a_[i], coins, i));
     } else {
       for (std::size_t i = 0; i < prm_.ell; ++i) {
         const G ap = gg_.g_random(rng_);  // scratch: the only raw coordinate
-        fprime_.push_back(hg_.enc(*sigma_, ap, rng_));
+        fprime_.push_back(enc_with_coins_at(ap, coins, i));
       }
     }
     ByteWriter w;
@@ -538,15 +538,25 @@ class DlrParty1 {
     if (fphi_) return;
     if (mode_ == P1Mode::Plain) {
       sigma_ = hg_.gen(rng_);  // fresh sk_comm each period
+      const auto coins = group::g_random_many(gg_, rng_, (prm_.ell + 1) * prm_.kappa);
       fs_.clear();
       fs_.reserve(prm_.ell);
-      for (const auto& ai : sk1_->a) fs_.push_back(hg_.enc(*sigma_, ai, rng_));
-      fphi_ = hg_.enc(*sigma_, sk1_->phi, rng_);
+      for (std::size_t i = 0; i < prm_.ell; ++i)
+        fs_.push_back(enc_with_coins_at(sk1_->a[i], coins, i));
+      fphi_ = enc_with_coins_at(sk1_->phi, coins, prm_.ell);
     } else {
       // Compact mode: the stored public encrypted share *is* (f_i, fPhi).
       fs_ = enc_a_;
       fphi_ = enc_phi_;
     }
+  }
+
+  /// HPSKE encryption of m under this period's sk_comm with coins
+  /// [i*kappa, (i+1)*kappa) of a batch drawn by group::g_random_many.
+  [[nodiscard]] CtG enc_with_coins_at(const G& m, const std::vector<G>& coins,
+                                      std::size_t i) const {
+    const auto first = coins.begin() + static_cast<std::ptrdiff_t>(i * prm_.kappa);
+    return hg_.enc_with_coins(*sigma_, m, {first, first + static_cast<std::ptrdiff_t>(prm_.kappa)});
   }
 
   void capture_refresh_snapshot(const G& new_phi) {

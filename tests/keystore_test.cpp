@@ -731,17 +731,21 @@ TEST(KsServiceTest, ShardCrashRestartRecoversAllKeysFromSegmentedJournals) {
 /// outbound frame carrying `label`. `forward` picks which half of the 2PC
 /// window breaks: true forwards the frame first (the request reaches the
 /// server, its ACK is lost), false drops it (the request never arrives).
+/// With `inbound` it instead kills the connection when the first INBOUND
+/// frame carrying `label` (a reply) arrives: the server has acted, the
+/// reply is lost and the connection is dead.
 class SeverAtLabel final : public transport::Conn {
  public:
   SeverAtLabel(std::shared_ptr<transport::Conn> under, std::string label, bool forward,
-               std::shared_ptr<std::atomic<bool>> fired)
+               std::shared_ptr<std::atomic<bool>> fired, bool inbound = false)
       : under_(std::move(under)),
         label_(std::move(label)),
         forward_(forward),
+        inbound_(inbound),
         fired_(std::move(fired)) {}
 
   void send(const transport::Frame& f) override {
-    if (f.type == transport::FrameType::Data && f.label == label_ &&
+    if (!inbound_ && f.type == transport::FrameType::Data && f.label == label_ &&
         !fired_->exchange(true)) {
       if (forward_) under_->send(f);
       throw transport::TransportError(transport::Errc::ConnectionClosed,
@@ -750,7 +754,14 @@ class SeverAtLabel final : public transport::Conn {
     under_->send(f);
   }
   transport::Frame recv(std::optional<transport::Millis> timeout) override {
-    return under_->recv(timeout);
+    transport::Frame f = under_->recv(timeout);
+    if (inbound_ && f.type == transport::FrameType::Data && f.label == label_ &&
+        !fired_->exchange(true)) {
+      under_->shutdown();
+      throw transport::TransportError(transport::Errc::ConnectionClosed,
+                                      "injected sever at " + label_);
+    }
+    return f;
   }
   using transport::Conn::recv;
   [[nodiscard]] const transport::TransportOptions& options() const override {
@@ -762,6 +773,7 @@ class SeverAtLabel final : public transport::Conn {
   std::shared_ptr<transport::Conn> under_;
   std::string label_;
   bool forward_;
+  bool inbound_;
   std::shared_ptr<std::atomic<bool>> fired_;
 };
 
@@ -804,6 +816,73 @@ TEST(KsServiceTest, CommitAckLostRecoversViaHello) {
 
 TEST(KsServiceTest, CommitLostRollsBackViaHelloThenRefreshes) {
   run_severed_commit_recovery(8050, /*forward=*/false);
+}
+
+/// Fleet options that sever once at `label` and never retry.
+typename KsFleet<MockGroup>::Options no_retry_sever_at(const std::string& label, bool forward,
+                                                       bool inbound,
+                                                       std::shared_ptr<std::atomic<bool>> fired) {
+  typename KsFleet<MockGroup>::Options fo;
+  fo.max_retries = 0;
+  fo.request_timeout = transport::Millis{1000};
+  fo.conn_wrapper = [=](std::shared_ptr<transport::FramedConn> fc)
+      -> std::shared_ptr<transport::Conn> {
+    return std::make_shared<SeverAtLabel>(std::move(fc), label, forward, fired, inbound);
+  };
+  return fo;
+}
+
+std::uint64_t server_epoch(const TwoShards& svc, const KeyId& id) {
+  return svc.s0->store().contains(id) ? svc.s0->store().epoch_of(id)
+                                      : svc.s1->store().epoch_of(id);
+}
+
+TEST(KsServiceTest, ExhaustedAttemptsStillDropTheDeadConnection) {
+  // With no retries left, the op that hit the dead connection fails; the
+  // next op on the same shard and lane must reconnect, not reuse it.
+  auto fired = std::make_shared<std::atomic<bool>>(false);
+  TwoShards svc(8060, {}, {}, no_retry_sever_at(kKsDecOk, true, /*inbound=*/true, fired));
+  svc.fleet->fetch_map();  // no retry is left to route through a WrongShard
+  const auto keys = test_keys(1);
+  svc.add(keys[0]);
+  crypto::Rng rng(8061);
+  EXPECT_THROW((void)svc.roundtrip(keys[0], rng), transport::TransportError);
+  ASSERT_TRUE(fired->load()) << "the sever never triggered -- test is vacuous";
+  EXPECT_TRUE(svc.roundtrip(keys[0], rng));
+  EXPECT_TRUE(svc.roundtrip(keys[0], rng));
+}
+
+TEST(KsServiceTest, LostCommitAckOnTheLastAttemptSettlesViaHello) {
+  // The server committed but its ack died with the connection, and no
+  // attempt is left: refresh_key settles over ks.hello and returns.
+  auto fired = std::make_shared<std::atomic<bool>>(false);
+  TwoShards svc(8070, {}, {}, no_retry_sever_at(kKsRefCommitOk, true, /*inbound=*/true, fired));
+  svc.fleet->fetch_map();  // no retry is left to route through a WrongShard
+  const auto keys = test_keys(1);
+  svc.add(keys[0]);
+  svc.fleet->refresh_key(keys[0]);
+  ASSERT_TRUE(fired->load()) << "the sever never triggered -- test is vacuous";
+  EXPECT_EQ(server_epoch(svc, keys[0]), 1u);
+  EXPECT_EQ(svc.fleet->epoch_of(keys[0]), server_epoch(svc, keys[0]));
+  crypto::Rng rng(8071);
+  EXPECT_TRUE(svc.roundtrip(keys[0], rng));
+}
+
+TEST(KsServiceTest, LostCommitOnTheLastAttemptRollsBackAndThrows) {
+  // The commit never reached the server: the hello verdict is Rollback, the
+  // original error surfaces, and both sides stay at epoch 0.
+  auto fired = std::make_shared<std::atomic<bool>>(false);
+  TwoShards svc(8080, {}, {}, no_retry_sever_at(kKsRefCommit, false, /*inbound=*/false, fired));
+  svc.fleet->fetch_map();  // no retry is left to route through a WrongShard
+  const auto keys = test_keys(1);
+  svc.add(keys[0]);
+  EXPECT_THROW(svc.fleet->refresh_key(keys[0]), transport::TransportError);
+  ASSERT_TRUE(fired->load());
+  EXPECT_EQ(svc.fleet->epoch_of(keys[0]), 0u);
+  EXPECT_EQ(server_epoch(svc, keys[0]), 0u);
+  svc.fleet->refresh_key(keys[0]);  // not wedged on pending state
+  EXPECT_EQ(svc.fleet->epoch_of(keys[0]), 1u);
+  EXPECT_EQ(server_epoch(svc, keys[0]), 1u);
 }
 
 TEST(KeyStoreTest, RemoveStaysRemovedAfterRecoveryDespiteConcurrentMutations) {
