@@ -1,6 +1,7 @@
-// T3: decryption-service throughput -- requests/sec of the multi-threaded
-// P2Server (src/service/) over real loopback TCP, swept across worker-pool
-// sizes and concurrent-client counts.
+// T3: decryption-service throughput -- requests/sec of the single-key
+// service (a KsServer holding one key, driven by DecryptionClients over the
+// svc.* routes) over real loopback TCP, swept across worker-pool sizes and
+// concurrent-client counts.
 //
 // The backend is the mock group with a large leakage parameter, so each
 // DistDec round 2 is ~ell HPSKE ciphertext exponentiations: enough work per
@@ -51,9 +52,9 @@
 
 #include "bench_util.hpp"
 #include "group/mock_group.hpp"
+#include "keystore/ks_server.hpp"
 #include "service/admin.hpp"
 #include "service/client.hpp"
-#include "service/p2_server.hpp"
 #include "telemetry/export.hpp"
 #include "transport/fault.hpp"
 
@@ -62,6 +63,7 @@ namespace {
 using namespace dlr;
 using group::MockGroup;
 using Core = schemes::DlrCore<MockGroup>;
+using Server = keystore::KsServer<MockGroup>;
 
 struct Config {
   int requests = 200;     // total per sweep point, split across clients
@@ -94,6 +96,14 @@ struct Fixture {
     p1 = std::make_shared<service::P1Runtime<MockGroup>>(
         gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain, crypto::Rng(seed * 2 + 1));
   }
+
+  /// A started 1-key KsServer holding this fixture's P2 share.
+  [[nodiscard]] std::unique_ptr<Server> serve(typename Server::Options sopt) const {
+    auto s = std::make_unique<Server>(gg, prm, crypto::Rng(seed * 2 + 2), std::move(sopt));
+    s->store().put(keystore::default_key_id(), kg.sk2);
+    s->start();
+    return s;
+  }
 };
 
 /// What the scraper thread saw while the point ran (last/extreme values of
@@ -101,7 +111,6 @@ struct Fixture {
 struct ScrapeStats {
   std::uint64_t scrapes = 0;
   std::map<std::string, double> last_svc;  // final value of each svc_* sample
-  double max_inflight = 0;
   double max_queue_depth = 0;
 };
 
@@ -111,18 +120,16 @@ struct ScrapeStats {
 /// timed region -- the observability tax the --scrape mode measures.
 double run_point(Fixture& fx, int workers, int clients, int requests,
                  ScrapeStats* scrape = nullptr, bool pipeline = true) {
-  typename service::P2Server<MockGroup>::Options sopt;
+  typename Server::Options sopt;
   sopt.workers = workers;
   sopt.admin = scrape != nullptr;
   sopt.pipeline = pipeline;
-  service::P2Server<MockGroup> server(fx.gg, fx.prm, fx.kg.sk2,
-                                      crypto::Rng(fx.seed * 2 + 2), sopt);
-  server.start();
+  const auto server = fx.serve(sopt);
 
   std::atomic<bool> scraping{scrape != nullptr};
   std::thread scraper;
   if (scrape) {
-    const auto port = server.admin_port();
+    const auto port = server->admin_port();
     scraper = std::thread([&, port] {
       while (scraping.load()) {
         try {
@@ -132,8 +139,6 @@ double run_point(Fixture& fx, int workers, int clients, int requests,
           for (const auto& [name, v] : samples) {
             if (name.rfind("svc_", 0) != 0) continue;
             scrape->last_svc[name] = v;
-            if (name == "svc_inflight")
-              scrape->max_inflight = std::max(scrape->max_inflight, v);
             if (name == "svc_queue_depth")
               scrape->max_queue_depth = std::max(scrape->max_queue_depth, v);
           }
@@ -161,7 +166,7 @@ double run_point(Fixture& fx, int workers, int clients, int requests,
   conns.reserve(clients);
   for (int c = 0; c < clients; ++c)
     conns.push_back(std::make_unique<service::DecryptionClient<MockGroup>>(
-        fx.p1, server.port()));
+        fx.p1, server->port()));
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> ts;
@@ -176,7 +181,7 @@ double run_point(Fixture& fx, int workers, int clients, int requests,
   scraping.store(false);
   if (scraper.joinable()) scraper.join();
   for (auto& c : conns) c->close();
-  server.stop();
+  server->stop();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   const double total = static_cast<double>(per_client) * clients;
   return total / secs;
@@ -194,11 +199,9 @@ struct FaultRun {
 /// fire every few requests. A decrypt whose client reconnected during the
 /// call is a "recovery"; its wall time is the recovery latency.
 FaultRun run_faults(Fixture& fx, std::uint64_t seed, int clients, int requests) {
-  typename service::P2Server<MockGroup>::Options sopt;
+  typename Server::Options sopt;
   sopt.workers = 4;
-  service::P2Server<MockGroup> server(fx.gg, fx.prm, fx.kg.sk2, crypto::Rng(seed * 2 + 2),
-                                      sopt);
-  server.start();
+  const auto server = fx.serve(sopt);
 
   const int per_client = (requests + clients - 1) / clients;
   crypto::Rng rng(6000 + seed);
@@ -237,7 +240,7 @@ FaultRun run_faults(Fixture& fx, std::uint64_t seed, int clients, int requests) 
   conns.reserve(clients);
   for (int c = 0; c < clients; ++c)
     conns.push_back(std::make_unique<service::DecryptionClient<MockGroup>>(
-        fx.p1, server.port(), copt));
+        fx.p1, server->port(), copt));
 
   FaultRun out;
   std::mutex out_mu;
@@ -275,7 +278,7 @@ FaultRun run_faults(Fixture& fx, std::uint64_t seed, int clients, int requests) 
     out.reconnects += c->reconnects();
     c->close();
   }
-  server.stop();
+  server->stop();
   {
     std::lock_guard lock(inj_mu);
     for (const auto& inj : injectors) out.injected += inj->injected();
@@ -292,8 +295,8 @@ FaultRun run_faults(Fixture& fx, std::uint64_t seed, int clients, int requests) 
 /// by the injected per-item delay (2 workers x 1.5 ms), so the sweep's
 /// x-axis is stable across hosts, and the 8-slot queue bounds the latency
 /// an accepted request can absorb before shedding starts.
-typename service::P2Server<MockGroup>::Options overload_server_options() {
-  typename service::P2Server<MockGroup>::Options sopt;
+typename Server::Options overload_server_options() {
+  typename Server::Options sopt;
   sopt.workers = 2;
   sopt.max_batch = 1;
   sopt.queue_cap = 8;
@@ -305,10 +308,7 @@ typename service::P2Server<MockGroup>::Options overload_server_options() {
 /// the moment its reply lands. This is the "capacity" the offered-load
 /// multipliers scale from.
 double overload_capacity(Fixture& fx, int requests) {
-  service::P2Server<MockGroup> server(fx.gg, fx.prm, fx.kg.sk2,
-                                      crypto::Rng(fx.seed * 2 + 2),
-                                      overload_server_options());
-  server.start();
+  const auto server = fx.serve(overload_server_options());
   crypto::Rng rng(8100 + fx.seed);
   const auto ct = Core::enc_precomp(fx.gg, *fx.pk_tbl, fx.gg.gt_random(rng), rng);
   const Bytes body = service::encode_request(0, fx.p1->begin_decrypt(ct, rng).round1);
@@ -321,7 +321,7 @@ double overload_capacity(Fixture& fx, int requests) {
   for (int c = 0; c < kClients; ++c)
     ts.emplace_back([&] {
       transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-          transport::connect_loopback(server.port()), transport::TransportOptions{}));
+          transport::connect_loopback(server->port()), transport::TransportOptions{}));
       for (int i = 0; i < per_client; ++i) {
         auto sess = mux.open();
         sess->send(transport::FrameType::Data, 1, service::kLabelDecReq, body);
@@ -332,7 +332,7 @@ double overload_capacity(Fixture& fx, int requests) {
   for (auto& t : ts) t.join();
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  server.stop();
+  server->stop();
   return ok.load() / secs;
 }
 
@@ -351,10 +351,7 @@ struct OverloadStats {
 /// 4 sender threads pace the sends; a receiver per sender drains replies so
 /// a slow response never blocks the schedule.
 OverloadStats run_overload_point(Fixture& fx, double offered_rps, double seconds) {
-  service::P2Server<MockGroup> server(fx.gg, fx.prm, fx.kg.sk2,
-                                      crypto::Rng(fx.seed * 2 + 2),
-                                      overload_server_options());
-  server.start();
+  const auto server = fx.serve(overload_server_options());
   crypto::Rng rng(8200 + fx.seed);
   const auto ct = Core::enc_precomp(fx.gg, *fx.pk_tbl, fx.gg.gt_random(rng), rng);
   const Bytes body = service::encode_request(0, fx.p1->begin_decrypt(ct, rng).round1);
@@ -373,7 +370,7 @@ OverloadStats run_overload_point(Fixture& fx, double offered_rps, double seconds
       using Clock = std::chrono::steady_clock;
       OverloadStats local;
       transport::SessionMux mux(std::make_shared<transport::FramedConn>(
-          transport::connect_loopback(server.port()), transport::TransportOptions{}));
+          transport::connect_loopback(server->port()), transport::TransportOptions{}));
 
       std::mutex mu;
       std::condition_variable cv;
@@ -460,7 +457,7 @@ OverloadStats run_overload_point(Fixture& fx, double offered_rps, double seconds
   for (auto& t : senders) t.join();
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  server.stop();
+  server->stop();
 
   agg.offered_actual = static_cast<double>(agg.sent) / secs;
   agg.goodput = static_cast<double>(agg.ok) / secs;
@@ -484,15 +481,13 @@ struct LatencyStats {
 /// per-request wall times. With pipeline=true each lone request rides the
 /// batch path and pays at most one batch_wait of lingering (the idle-server
 /// fast path hands it to a crypto worker as soon as the deadline math runs);
-/// pipeline=false is the unbatched PR 2 control the 1.5x p95 budget in
-/// ISSUE.md is measured against.
+/// pipeline=false is the unbatched control the pipelined p95 (budget: within
+/// 1.5x) is measured against.
 LatencyStats run_latency(Fixture& fx, bool pipeline, int requests) {
-  typename service::P2Server<MockGroup>::Options sopt;
+  typename Server::Options sopt;
   sopt.workers = 4;
   sopt.pipeline = pipeline;
-  service::P2Server<MockGroup> server(fx.gg, fx.prm, fx.kg.sk2,
-                                      crypto::Rng(fx.seed * 2 + 2), sopt);
-  server.start();
+  const auto server = fx.serve(sopt);
 
   crypto::Rng rng(7000 + fx.seed);
   std::vector<typename Core::Ciphertext> cts;
@@ -500,7 +495,7 @@ LatencyStats run_latency(Fixture& fx, bool pipeline, int requests) {
   for (int i = 0; i < requests; ++i)
     cts.push_back(Core::enc_precomp(fx.gg, *fx.pk_tbl, fx.gg.gt_random(rng), rng));
 
-  service::DecryptionClient<MockGroup> conn(fx.p1, server.port());
+  service::DecryptionClient<MockGroup> conn(fx.p1, server->port());
   std::vector<double> ms;
   ms.reserve(cts.size());
   const auto t0 = std::chrono::steady_clock::now();
@@ -513,7 +508,7 @@ LatencyStats run_latency(Fixture& fx, bool pipeline, int requests) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   conn.close();
-  server.stop();
+  server->stop();
 
   std::sort(ms.begin(), ms.end());
   LatencyStats out;
@@ -685,8 +680,8 @@ int main(int argc, char** argv) {
     reg.gauge("bench.scaling.rps_ratio_8v1").set(rps_by_workers[8] / rps_by_workers[1]);
   }
 
-  // Single-client latency percentiles, batched vs unbatched (ISSUE.md's p95
-  // budget: pipelined p95 within 1.5x the unbatched baseline).
+  // Single-client latency percentiles, batched vs unbatched (p95 budget:
+  // pipelined p95 within 1.5x the unbatched baseline).
   bench::Table ltable({"path", "p50 ms", "p95 ms", "p99 ms", "req/s"});
   for (const bool pl : {true, false}) {
     const LatencyStats ls = run_latency(fx, pl, cfg.requests);
@@ -732,7 +727,6 @@ int main(int argc, char** argv) {
     reg.gauge("bench.scrape.rps").set(rps_scraped);
     reg.gauge("bench.scrape.polls").set(static_cast<double>(st.scrapes));
     reg.gauge("bench.scrape.overhead_pct").set(overhead_pct);
-    reg.gauge("bench.scrape.inflight.max").set(st.max_inflight);
     reg.gauge("bench.scrape.queue_depth.max").set(st.max_queue_depth);
     for (const auto& [name, v] : st.last_svc)
       reg.gauge("bench.scrape." + name).set(v);
@@ -741,7 +735,6 @@ int main(int argc, char** argv) {
     stable.row({"req/s (admin polled)", bench::fmt(rps_scraped, 1)});
     stable.row({"scrape polls landed", std::to_string(st.scrapes)});
     stable.row({"overhead vs unscraped (%)", bench::fmt(overhead_pct, 2)});
-    stable.row({"max svc_inflight seen", bench::fmt(st.max_inflight, 0)});
     stable.row({"max svc_queue_depth seen", bench::fmt(st.max_queue_depth, 0)});
     stable.print();
   }

@@ -44,7 +44,6 @@
 #include "keystore/ks_client.hpp"
 #include "keystore/ks_server.hpp"
 #include "service/client.hpp"
-#include "service/p2_server.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trace.hpp"
 
@@ -250,8 +249,9 @@ double run_workload(Fleet& fx, int requests, std::atomic<int>* wrong) {
   return static_cast<double>(per_client) * cfg.clients / secs;
 }
 
-/// In-bench single-key control: bench_t3's full-load shape (P2Server, one
-/// key, per-client connections) under the same --requests/--clients/--seed.
+/// In-bench single-key control: bench_t3's full-load shape (a 1-key
+/// KsServer on the svc.* routes, per-client connections) under the same
+/// --requests/--clients/--seed.
 double run_single_key_control(const Config& cfg) {
   MockGroup gg = group::make_mock();
   const auto prm = schemes::DlrParams::derive(gg.scalar_bits(), cfg.lambda);
@@ -260,10 +260,10 @@ double run_single_key_control(const Config& cfg) {
   auto p1 = std::make_shared<service::P1Runtime<MockGroup>>(
       gg, prm, kg.pk, kg.sk1, schemes::P1Mode::Plain, crypto::Rng(cfg.seed * 2 + 1));
 
-  typename service::P2Server<MockGroup>::Options sopt;
+  typename KsServer<MockGroup>::Options sopt;
   sopt.workers = 4;
-  service::P2Server<MockGroup> server(gg, prm, kg.sk2, crypto::Rng(cfg.seed * 2 + 2),
-                                      sopt);
+  KsServer<MockGroup> server(gg, prm, crypto::Rng(cfg.seed * 2 + 2), sopt);
+  server.store().put(keystore::default_key_id(), kg.sk2);
   server.start();
 
   const int per_client = (cfg.requests + cfg.clients - 1) / cfg.clients;

@@ -205,8 +205,8 @@ inline std::string json_flag(int argc, char** argv) {
   return {};
 }
 
-/// If the user passed --json, dump the global telemetry registry + span table
-/// as JSON lines (works -- with empty content -- in a DLR_TELEMETRY=OFF
+/// If the user passed --json, dump the global telemetry registry (metrics
+/// only) as JSON lines (works -- with empty content -- in a DLR_TELEMETRY=OFF
 /// build, so the flag never breaks).
 inline void export_json_if_requested(int argc, char** argv, const std::string& bench) {
   const std::string path = json_flag(argc, argv);

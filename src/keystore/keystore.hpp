@@ -2,16 +2,16 @@
 // §11): (tenant, key-id) -> {DlrParty2 share, epoch machine, pending 2PC
 // refresh, leakage budget}.
 //
-// Each key runs the PR 4 two-phase epoch commit INDEPENDENTLY -- the same
-// prepare / commit / hello-reconciliation state machine as P2Server, with
-// identical dedup (duplicate prepares resend the journaled reply verbatim;
-// duplicate commits ack idempotently by epoch+digest; a rolled-back digest
-// is remembered so a stray prepare cannot resurrect it). Where P2Server
-// splits its one key across p2_mu_ + pending_mu_ + an EpochCoordinator, a
-// keystore entry is small enough for ONE shared_mutex: decryptions hold it
-// shared (dec_respond is const), prepare/commit/hello hold it exclusive --
+// Each key runs the two-phase epoch commit of DESIGN.md §9 INDEPENDENTLY:
+// prepare / commit / hello reconciliation, with dedup (duplicate prepares
+// resend the journaled reply verbatim; duplicate commits ack idempotently by
+// epoch+digest; a rolled-back digest is remembered so a stray prepare cannot
+// resurrect it). Each entry has ONE shared_mutex: decryptions hold it shared
+// (dec_respond is const), prepare/commit/hello hold it exclusive --
 // acquiring the exclusive lock IS the drain barrier, since it waits out
-// every in-flight reader of that key and only that key.
+// every in-flight reader of that key and only that key. Epoch admission is
+// the epoch check under that lock: a request naming any other epoch gets
+// the retryable StaleEpoch before the share is touched.
 //
 // Persistence is one SegmentJournal for the whole store: every durable
 // transition (put, prepare, commit, rollback) appends that key's full record
@@ -320,9 +320,9 @@ class KeyStore {
     return e->epoch;
   }
 
-  /// Reconnect reconciliation for ONE key -- P2Server's verdict table
-  /// (Commit iff we installed the client's pending refresh, Rollback if we
-  /// never did, fork errors otherwise).
+  /// Reconnect reconciliation for ONE key: Commit iff we installed the
+  /// client's pending refresh, Rollback if we never did, fork errors
+  /// otherwise.
   [[nodiscard]] service::HelloOk hello(const KeyId& id, const service::HelloMsg& h) {
     auto e = find(id);
     std::unique_lock lk(e->mu);
@@ -405,6 +405,13 @@ class KeyStore {
     auto e = find(id);
     std::shared_lock lk(e->mu);
     return e->pending.has_value();
+  }
+
+  /// The key's served P2 share (tests: msk-constancy checks).
+  [[nodiscard]] typename Core::Sk2 share(const KeyId& id) const {
+    auto e = find(id);
+    std::shared_lock lk(e->mu);
+    return e->p2.share();
   }
 
   /// SHA-256 over every key's (tenant, key, epoch, share), sorted -- the

@@ -160,54 +160,53 @@ class KsFleet {
   /// Run the two-phase refresh for one key, advancing its epoch by one.
   /// Also the scheduler's RefreshFn. An interrupted attempt leaves pending
   /// state that the next attempt's ks.hello reconciles; if the attempts run
-  /// out with that state still pending, one more ks.hello on a fresh
-  /// connection settles it before the error surfaces (verdict Commit: the
+  /// out with that state still pending, a settling ks.hello under its own
+  /// retry budget resolves it before the error surfaces (verdict Commit: the
   /// refresh took effect and the call returns normally).
   void refresh_key(const KeyId& id) {
     auto st = state(id);
     const std::uint64_t start = st->epoch.load();
+    bool settling = false;  // the settle pass reconciles; it never starts a refresh
+    const auto attempt = [&](transport::SessionMux& m, std::uint32_t) {
+      maybe_reconcile(m, id, st);
+      if (settling || st->epoch.load() > start) return 0;
+      std::unique_lock lk(st->mu);
+      if (st->pending)
+        throw ServiceError(ServiceErrc::Draining, st->epoch.load(),
+                           "pending refresh awaiting reconciliation");
+      const std::uint64_t e = st->epoch.load();
+      const Bytes r1 = st->p1->ref_round1();
+      st->pending.emplace();
+      st->pending->epoch = e;
+      st->pending->digest = crypto::digest_to_bytes(crypto::Sha256::hash(r1));
+      // The flag is what maybe_reconcile() gates on: without it a refresh
+      // interrupted between ref.ok and commit.ok would never reconcile.
+      st->pending_flag.store(true);
+      {
+        auto sess = m.open();
+        sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
+                   kKsRef, encode_ks_request(id, e, r1));
+        st->pending->r2 = service::expect_ok(sess->recv(opt_.request_timeout), kKsRefOk);
+      }
+      {
+        auto sess = m.open();
+        sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
+                   kKsRefCommit, encode_ks_request(id, e, st->pending->digest));
+        (void)service::decode_commit_ok(
+            service::expect_ok(sess->recv(opt_.request_timeout), kKsRefCommitOk));
+      }
+      commit_locked(*st);
+      return 0;
+    };
     try {
-      with_retries(id, [&](transport::SessionMux& m, std::uint32_t) {
-        maybe_reconcile(m, id, st);
-        if (st->epoch.load() > start) return 0;  // reconciliation rolled forward
-        std::unique_lock lk(st->mu);
-        if (st->pending)
-          throw ServiceError(ServiceErrc::Draining, st->epoch.load(),
-                             "pending refresh awaiting reconciliation");
-        const std::uint64_t e = st->epoch.load();
-        const Bytes r1 = st->p1->ref_round1();
-        st->pending.emplace();
-        st->pending->epoch = e;
-        st->pending->digest = crypto::digest_to_bytes(crypto::Sha256::hash(r1));
-        // The flag is what maybe_reconcile() gates on: without it a refresh
-        // interrupted between ref.ok and commit.ok would never reconcile.
-        st->pending_flag.store(true);
-        {
-          auto sess = m.open();
-          sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                     kKsRef, encode_ks_request(id, e, r1));
-          st->pending->r2 = service::expect_ok(sess->recv(opt_.request_timeout), kKsRefOk);
-        }
-        {
-          auto sess = m.open();
-          sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
-                     kKsRefCommit, encode_ks_request(id, e, st->pending->digest));
-          (void)service::decode_commit_ok(
-              service::expect_ok(sess->recv(opt_.request_timeout), kKsRefCommitOk));
-        }
-        commit_locked(*st);
-        return 0;
-      });
+      with_retries(id, attempt);
     } catch (const std::exception&) {
       if (!st->pending_flag.load()) throw;
-      std::shared_ptr<transport::SessionMux> m;
-      try {  // best effort: on failure the key settles on its next contact
-        std::uint32_t shard = 0;
-        m = connect_raw(port_for(id, &shard));
-        maybe_reconcile(*m, id, st);
+      settling = true;
+      try {  // on failure the key settles on its next contact
+        with_retries(id, attempt);
       } catch (const std::exception&) {
       }
-      if (m) m->stop();
       if (st->epoch.load() <= start) throw;
     }
   }

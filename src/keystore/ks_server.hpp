@@ -1,21 +1,40 @@
-// KsServer<GG> -- one shard of the multi-tenant keystore service.
+// KsServer<GG> -- the paper's long-lived auxiliary device P2 (§1.1, §4.4)
+// as a multi-threaded network service: one shard of the multi-tenant
+// keystore. It owns the P2 shares of its keys (a KeyStore) and answers
+// DistDec round 2 plus the two-phase refresh protocol (DESIGN.md §9) over
+// framed, session-multiplexed TCP. The single-key service is a 1-key store:
+// the svc.* routes (svc.dec / svc.ref / svc.ref.commit / svc.hello) serve
+// default_key_id(), so a service::DecryptionClient talks to a KsServer
+// whose store holds that key; the ks.* routes name a (tenant, key).
 //
-// Thread architecture is P2Server's, verbatim: with pipeline=true (default)
-// decryption requests (ks.dec AND the compat svc.dec route) flow through the
-// SAME decode -> BatchCollector -> crypto-worker -> coalesced-encode
-// pipeline as P2Server -- readers decode and address-check, crypto workers
-// pull micro-batches, group them by (tenant, key), and serve each group
+// Thread architecture with the default pipelined mode (DESIGN.md §12; one
+// arrow = one thread kind):
+//
+//   accept thread ---> per-connection readers ---> BatchCollector ---> crypto
+//   (Listener::accept) (recv + DECODE + shard     (cross-request       workers
+//                       check for ks.dec/svc.dec)  micro-batches)      (group by key,
+//                                   |                                   DecSession,
+//                                   +---> WorkerPool (ref/commit/hello/  coalesced
+//                                                     put/map/migrate)   ENCODE+send)
+//
+// Crypto workers pull micro-batches, group them by key and serve each group
 // through one KeyStore::DecSession (one shared entry lock + one share-vector
-// recode per key per batch). Control-plane routes (ks.ref / commit / hello /
-// put / map) stay on a small WorkerPool. With pipeline=false every request
-// runs on the WorkerPool as in PR 7. One background compaction thread
-// periodically folds the segmented journal. What changes is the dispatch: every ks.* request
-// names a (tenant, key) and is served by the KeyStore's per-key epoch
-// machine, and the legacy single-key routes (svc.dec / svc.ref /
-// svc.ref.commit / svc.hello) are kept alive by mapping them onto
-// default_key_id() -- a PR 2-5 DecryptionClient pointed at a KsServer whose
-// store holds the default key behaves exactly as against a P2Server, which
-// is how "single-key mode is a 1-key store".
+// recode per key per batch); replies are coalesced per connection into one
+// send_many. With Options::pipeline = false every request runs whole on the
+// WorkerPool (the unbatched control). One background compaction thread
+// periodically folds the segmented journal.
+//
+// Refresh is PREPARE / COMMIT per key (KeyStore): PREPARE journals the next
+// share without touching the served one; COMMIT takes the key's exclusive
+// entry lock -- which drains that key's in-flight decryptions -- installs,
+// persists, then bumps the epoch and acks; a reconnecting client's hello
+// reconciles a half-done refresh (Commit / Rollback verdict). With
+// Options::store.state_dir set every transition lands in the segmented
+// journal and a restarted server resumes every key from it.
+//
+// Shutdown: stop() first answers new requests with the retryable Shutdown
+// error while queued work finishes (bounded by Options::stop_drain), then
+// hangs up.
 //
 // Sharding: the server carries a shard id and a versioned ShardMap (empty =
 // accept everything, the bootstrap/single-shard mode). A ks.* request for a
@@ -112,7 +131,7 @@ class KsServer {
     std::uint16_t admin_port = 0;
     /// Pipelined decryption path (DESIGN.md §12): readers decode, crypto
     /// workers pull cross-request micro-batches grouped by key. Off = every
-    /// request runs whole on the WorkerPool (PR 7 behavior).
+    /// request runs whole on the WorkerPool.
     bool pipeline = true;
     /// Micro-batch bounds (effective cap is min(max_batch, 2 * workers)).
     std::size_t max_batch = 16;
@@ -1157,7 +1176,7 @@ class KsServer {
     }
   }
 
-  // ---- single-key compatibility routes (svc.*, PR 2-5 wire format) ----
+  // ---- single-key routes (svc.*): the store's default_key_id() ----------
 
   void handle_compat_dec(transport::Conn& conn, const transport::Frame& f) {
     telemetry::ScopedSpan span("svc.dec",

@@ -1,5 +1,7 @@
-// Client side of the DLR decryption service: the main processor P1 serving
-// many local user threads, speaking to the remote auxiliary device P2Server.
+// Client side of the single-key DLR decryption service: the main processor
+// P1 serving many local user threads, speaking the svc.* routes to the
+// remote auxiliary device P2 (a KsServer holding its share under
+// keystore::default_key_id()).
 //
 // P1Runtime holds the singular P1 share behind a shared_mutex. Decryption
 // round-1 construction runs under the shared lock (dec_round1 is const given
@@ -339,15 +341,15 @@ class DecryptionClient {
   [[nodiscard]] P1Runtime<GG>& p1() { return *p1_; }
   [[nodiscard]] std::uint64_t epoch() const { return p1_->epoch(); }
 
-  /// Wire-trace version negotiated with the peer in the last hello: 0 means
-  /// a legacy (pre-trace) server, so request frames carry no trace envelope.
+  /// Wire version negotiated with the peer in the last hello: 0 means the
+  /// peer did not negotiate, so request frames carry no trace envelope.
   [[nodiscard]] std::uint8_t wire_version() const { return wire_version_.load(); }
 
   /// Endpoint circuit breaker state (tests/benches).
   [[nodiscard]] const transport::CircuitBreaker& breaker() const { return breaker_; }
 
   /// One DistDec round trip; throws ServiceError (retryable() for
-  /// StaleEpoch/Draining/DrainTimeout/Shutdown) and TransportError.
+  /// StaleEpoch/Draining/Shutdown/Overloaded) and TransportError.
   [[nodiscard]] GT decrypt_once(const typename Core::Ciphertext& c) {
     telemetry::ScopedSpan root("svc.client.dec");
     thread_local crypto::Rng rng = crypto::Rng::from_os_entropy();
@@ -540,11 +542,10 @@ class DecryptionClient {
     return mux_;
   }
 
-  /// Hello exchange + pending-refresh reconciliation on `m`. The client first
-  /// offers wire-trace version kWireTraceVersion as a trailing hello byte; a
-  /// legacy server rejects the unknown byte with BadRequest, in which case we
-  /// re-hello bare and remember the peer as legacy (trace envelopes stay off
-  /// for this client -- old peers keep decrypting, just untraced).
+  /// Hello exchange + pending-refresh reconciliation on `m`. The client
+  /// offers wire version kWireDeadlineVersion as a trailing hello byte; the
+  /// server answers with the version both sides speak (trace envelopes and
+  /// deadline budgets ride only once it is nonzero).
   void hello(transport::SessionMux& m) {
     const auto info = p1_->pending_info();
     HelloMsg h;
@@ -552,25 +553,14 @@ class DecryptionClient {
     h.has_pending = info.active;
     h.pending_epoch = info.epoch;
     h.pending_digest = info.digest;
-    h.version = legacy_peer_.load() ? 0 : kWireDeadlineVersion;
-    HelloOk ok;
-    try {
-      ok = hello_once(m, h);
-    } catch (const ServiceError& e) {
-      if (h.version == 0 || e.code() != ServiceErrc::BadRequest) throw;
-      legacy_peer_.store(true);
-      h.version = 0;
-      ok = hello_once(m, h);
-    }
-    wire_version_.store(ok.version);
-    p1_->resolve_pending(ok.disposition, ok.server_epoch, info.digest);
-  }
-
-  [[nodiscard]] HelloOk hello_once(transport::SessionMux& m, const HelloMsg& h) {
+    h.version = kWireDeadlineVersion;
     auto sess = m.open();
     sess->send(transport::FrameType::Data, static_cast<std::uint8_t>(net::DeviceId::P1),
                kLabelHello, encode_hello(h));
-    return decode_hello_ok(expect_ok(sess->recv(opt_.request_timeout), kLabelHelloOk));
+    const HelloOk ok =
+        decode_hello_ok(expect_ok(sess->recv(opt_.request_timeout), kLabelHelloOk));
+    wire_version_.store(ok.version);
+    p1_->resolve_pending(ok.disposition, ok.server_epoch, info.digest);
   }
 
   /// Trace context to stamp onto an outgoing request frame: the innermost
@@ -703,7 +693,6 @@ class DecryptionClient {
   std::atomic<std::uint64_t> dec_count_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint8_t> wire_version_{0};  // negotiated in the last hello
-  std::atomic<bool> legacy_peer_{false};       // peer rejected the version byte once
   std::atomic<bool> refreshing_{false};
   std::atomic<bool> closed_{false};
 };

@@ -37,7 +37,7 @@
 
 namespace dlr::service {
 
-/// Worker-count heuristic shared with P2Server's pool sizing:
+/// Worker-count heuristic for "on"/"auto" fan-out width:
 /// hardware_concurrency clamped to [2, 8], or 4 when unknown.
 [[nodiscard]] int default_workers();
 

@@ -36,13 +36,12 @@
 //   svc.hello.ok  (Data)  body = u64 server_epoch | u8 disposition (RefDisposition)
 //                                 [| u8 version]
 //
-// Version negotiation (DESIGN.md §10): a client that understands the wire
-// trace envelope appends version = kWireTraceVersion to its hello. A v1
-// server rejects the trailing byte as BadRequest, which the client treats as
-// "peer is v1" -- it re-hellos without the byte and keeps wire tracing off.
-// A v2 server accepts and echoes the version in hello.ok; only then do both
-// sides stamp trace envelopes on Data frames. An un-versioned peer therefore
-// never sees an envelope (whose flag bit it would reject as a bad device id).
+// Version negotiation (DESIGN.md §10): the client appends the highest
+// version it speaks to its hello and the server echoes min(client, server)
+// in hello.ok; only once that is nonzero do both sides stamp trace envelopes
+// on Data frames. A hello without the byte negotiates version 0, so an
+// un-versioned peer never sees an envelope (whose flag bit it would reject
+// as a bad device id).
 #pragma once
 
 #include <cstdint>
@@ -70,7 +69,6 @@ enum class ServiceErrc : std::uint8_t {
   BadRequest = 3,  // request did not parse
   Internal = 4,    // server-side exception
   Shutdown = 5,    // server is draining for shutdown; retry elsewhere/later
-  DrainTimeout = 6,  // refresh drain deadline expired; retry the refresh
   WrongShard = 7,  // (tenant, key) hashes to another shard; refetch the shard
                    // map (ks.map) and re-route -- retryable redirect
   UnknownKey = 8,  // (tenant, key) not provisioned on this shard (and the
@@ -91,7 +89,6 @@ enum class ServiceErrc : std::uint8_t {
     case ServiceErrc::BadRequest: return "BadRequest";
     case ServiceErrc::Internal: return "Internal";
     case ServiceErrc::Shutdown: return "Shutdown";
-    case ServiceErrc::DrainTimeout: return "DrainTimeout";
     case ServiceErrc::WrongShard: return "WrongShard";
     case ServiceErrc::UnknownKey: return "UnknownKey";
     case ServiceErrc::Overloaded: return "Overloaded";
@@ -118,7 +115,7 @@ class ServiceError : public std::runtime_error {
   [[nodiscard]] std::uint32_t retry_after_ms() const { return retry_after_ms_; }
   [[nodiscard]] bool retryable() const {
     return code_ == ServiceErrc::StaleEpoch || code_ == ServiceErrc::Draining ||
-           code_ == ServiceErrc::DrainTimeout || code_ == ServiceErrc::Shutdown ||
+           code_ == ServiceErrc::Shutdown ||
            code_ == ServiceErrc::WrongShard || code_ == ServiceErrc::Overloaded;
   }
 

@@ -33,16 +33,14 @@ enum class EventKind : std::uint8_t {
   FaultInjected,    // transport fault injector fired
   Retry,            // client retried a request
   Reconnect,        // client re-dialed the server
-  DrainTimeout,     // server stop() abandoned in-flight work
   JournalRecovery,  // runtime resolved a pending refresh from its journal
-  SlowRequest,      // server-side request latency over threshold
   Shed,             // server turned a request away (overload / deadline)
   BreakerOpen,      // client circuit breaker tripped open
   BreakerClose,     // client circuit breaker probe succeeded; closed again
   Migrate,          // live-resharding hand-off step (DESIGN.md §14)
 };
 
-/// Stable kebab-case name ("epoch-commit", "slow-request", ...).
+/// Stable kebab-case name ("epoch-commit", "breaker-open", ...).
 [[nodiscard]] const char* event_kind_name(EventKind k);
 
 struct Event {

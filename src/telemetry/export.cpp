@@ -262,8 +262,7 @@ std::string to_chrome_trace(const std::vector<ProcessSpans>& processes) {
 }
 
 bool export_global_jsonl(const std::string& path, const std::string& run_label) {
-  const std::string body = to_jsonl(ExportMeta{run_label}, Registry::global().snapshot(),
-                                    Tracer::global().spans());
+  const std::string body = to_jsonl(ExportMeta{run_label}, Registry::global().snapshot(), {});
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
   const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();

@@ -53,8 +53,8 @@ struct ProcessSpans {
 /// renders as one tree across pid lanes.
 [[nodiscard]] std::string to_chrome_trace(const std::vector<ProcessSpans>& processes);
 
-/// Snapshot the global registry + tracer and write JSONL to `path`.
-/// Returns false on I/O failure.
+/// Snapshot the global registry (metrics only -- no spans) and write JSONL
+/// to `path`. Returns false on I/O failure.
 bool export_global_jsonl(const std::string& path, const std::string& run_label);
 
 /// Parsed-back view of a JSONL export. Histograms round-trip exactly

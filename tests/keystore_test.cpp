@@ -868,6 +868,38 @@ TEST(KsServiceTest, LostCommitAckOnTheLastAttemptSettlesViaHello) {
   EXPECT_TRUE(svc.roundtrip(keys[0], rng));
 }
 
+TEST(KsServiceTest, LostSettleHelloIsRetriedUntilTheEpochsAgree) {
+  // The server committed but the ack died, the one retry's reconciling hello
+  // died too, and so did the first settling hello: the settle step retries
+  // like any op, so the client still reaches the server's epoch. Connections
+  // in order: 0 = ks.map, 1 = ks.put + ks.ref + commit, 2 = the retry, 3 =
+  // the first settle attempt; inbound frame 0 of 2 and 3 is the hello reply.
+  auto conn_no = std::make_shared<std::atomic<int>>(0);
+  typename KsFleet<MockGroup>::Options fo;
+  fo.max_retries = 1;
+  fo.request_timeout = transport::Millis{1000};
+  fo.retry.base = transport::Millis{1};
+  fo.retry.cap = transport::Millis{2};
+  fo.conn_wrapper = [conn_no](std::shared_ptr<transport::FramedConn> fc)
+      -> std::shared_ptr<transport::Conn> {
+    const int n = conn_no->fetch_add(1);
+    transport::FaultPlan plan;
+    if (n == 1) plan.in_at(2, {transport::FaultKind::Sever});  // commit ack
+    if (n == 2 || n == 3) plan.in_at(0, {transport::FaultKind::Sever});  // hello reply
+    return std::make_shared<transport::FaultInjector>(std::move(fc), plan);
+  };
+  TwoShards svc(8075, {}, {}, fo);
+  svc.fleet->fetch_map();  // no retry is spent routing through a WrongShard
+  const auto keys = test_keys(1);
+  svc.add(keys[0]);
+  svc.fleet->refresh_key(keys[0]);
+  EXPECT_GE(conn_no->load(), 5) << "the faults never fired -- test is vacuous";
+  EXPECT_EQ(server_epoch(svc, keys[0]), 1u);
+  EXPECT_EQ(svc.fleet->epoch_of(keys[0]), server_epoch(svc, keys[0]));
+  crypto::Rng rng(8076);
+  EXPECT_TRUE(svc.roundtrip(keys[0], rng));
+}
+
 TEST(KsServiceTest, LostCommitOnTheLastAttemptRollsBackAndThrows) {
   // The commit never reached the server: the hello verdict is Rollback, the
   // original error surfaces, and both sides stay at epoch 0.

@@ -1,7 +1,7 @@
 // Observability plane (DESIGN.md §10): end-to-end trace propagation over
 // real sockets, the admin endpoint's Prometheus scrape and health document,
-// hello version negotiation against a legacy peer, trace integrity under the
-// PR 4 fault injector, and the structured event log.
+// trace integrity under the transport fault injector, and the structured
+// event log -- a DecryptionClient against a KsServer holding one key.
 //
 // A listener dumps the event ring to stderr whenever a test here fails, so a
 // red chaos run leaves a diagnosable artifact instead of a bare assertion.
@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "group/mock_group.hpp"
+#include "keystore/ks_server.hpp"
 #include "service/admin.hpp"
 #include "service/client.hpp"
-#include "service/p2_server.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/export.hpp"
 #include "transport/fault.hpp"
@@ -29,8 +29,9 @@ namespace {
 using group::make_mock;
 using group::MockGroup;
 using Core = schemes::DlrCore<MockGroup>;
+using Server = keystore::KsServer<MockGroup>;
 
-// ---- auto-dump events on failure (ISSUE 6 tentpole layer 3) -------------------
+// ---- auto-dump events on failure ----------------------------------------------
 
 class EventDumpOnFailure : public ::testing::EmptyTestEventListener {
   void OnTestEnd(const ::testing::TestInfo& info) override {
@@ -57,15 +58,15 @@ struct Obs {
   schemes::DlrParams prm =
       schemes::DlrParams::derive(make_mock().scalar_bits(), make_mock().scalar_bits());
   Core::KeyGenResult kg;
-  std::unique_ptr<P2Server<MockGroup>> server;
+  std::unique_ptr<Server> server;
   std::shared_ptr<P1Runtime<MockGroup>> p1;
 
-  explicit Obs(typename P2Server<MockGroup>::Options opt = {}, std::uint64_t seed = 9000) {
+  explicit Obs(typename Server::Options opt = {}, std::uint64_t seed = 9000) {
     reset_telemetry();
     crypto::Rng rng(seed);
     kg = Core::gen(gg, prm, rng);
-    server = std::make_unique<P2Server<MockGroup>>(gg, prm, kg.sk2, crypto::Rng(seed + 1),
-                                                   opt);
+    server = std::make_unique<Server>(gg, prm, crypto::Rng(seed + 1), opt);
+    server->store().put(keystore::default_key_id(), kg.sk2);
     server->start();
     p1 = std::make_shared<P1Runtime<MockGroup>>(gg, prm, kg.pk, kg.sk1,
                                                 schemes::P1Mode::Plain,
@@ -151,7 +152,7 @@ TEST(ObservabilityTraceTest, SingleDecryptionYieldsOneTraceTreeAcrossLayers) {
 // ---- acceptance: admin scrape agrees with the work issued ---------------------
 
 TEST(ObservabilityAdminTest, ScrapeIsValidPrometheusAndRequestCounterMatches) {
-  typename P2Server<MockGroup>::Options opt;
+  typename Server::Options opt;
   opt.admin = true;
   Obs svc(opt);
   svc.p1->register_admin(*svc.server->admin());
@@ -169,13 +170,13 @@ TEST(ObservabilityAdminTest, ScrapeIsValidPrometheusAndRequestCounterMatches) {
   EXPECT_EQ(telemetry::prometheus_lint(text), "") << text;
   const auto samples = telemetry::parse_prometheus(text);
 #if DLR_TELEMETRY_ENABLED
-  ASSERT_TRUE(samples.count("svc_requests"));
-  EXPECT_DOUBLE_EQ(samples.at("svc_requests"), kRequests);
+  ASSERT_TRUE(samples.count("ks_dec_total"));
+  EXPECT_DOUBLE_EQ(samples.at("ks_dec_total"), kRequests);
 #endif
 
   const std::string health =
       AdminClient::fetch(svc.server->admin_port(), kAdmHealth);
-  EXPECT_NE(health.find("\"p2\""), std::string::npos) << health;
+  EXPECT_NE(health.find("\"keystore\""), std::string::npos) << health;
   EXPECT_NE(health.find("\"p1\""), std::string::npos) << health;
   EXPECT_NE(health.find("\"uptime_ms\""), std::string::npos) << health;
   EXPECT_NE(health.find("\"epoch\":\"0\""), std::string::npos) << health;
@@ -186,7 +187,7 @@ TEST(ObservabilityAdminTest, ScrapeIsValidPrometheusAndRequestCounterMatches) {
 }
 
 TEST(ObservabilityAdminTest, ScrapeSurvivesConcurrentLoadAndCountsItself) {
-  typename P2Server<MockGroup>::Options opt;
+  typename Server::Options opt;
   opt.admin = true;
   Obs svc(opt);
   auto client = svc.client();
@@ -200,32 +201,6 @@ TEST(ObservabilityAdminTest, ScrapeSurvivesConcurrentLoadAndCountsItself) {
   }
 #if DLR_TELEMETRY_ENABLED
   EXPECT_EQ(svc.server->admin()->scrapes(), 4u);
-#endif
-}
-
-// ---- hello negotiation: legacy peers keep working, tracing stays off ----------
-
-TEST(ObservabilityNegotiationTest, LegacyServerStillDecryptsWithTracingOff) {
-  typename P2Server<MockGroup>::Options opt;
-  opt.legacy_hello = true;  // a pre-trace peer: rejects the version byte
-  Obs svc(opt);
-  auto client = svc.client();
-  EXPECT_EQ(client.wire_version(), 0u);
-
-  crypto::Rng rng(4);
-  const auto m = svc.gg.gt_random(rng);
-  ASSERT_TRUE(svc.gg.gt_eq(client.decrypt(svc.encrypt(m, rng)), m));
-
-  const auto imp = exported_spans(svc);
-#if DLR_TELEMETRY_ENABLED
-  // The client still spans locally, but no envelope crossed the wire: the
-  // worker minted its own trace, disjoint from the client's.
-  const auto roots = spans_labeled(imp, "svc.client.dec");
-  const auto workers = spans_labeled(imp, "svc.dec");
-  ASSERT_EQ(roots.size(), 1u);
-  ASSERT_EQ(workers.size(), 1u);
-  EXPECT_NE(workers[0]->trace_id, roots[0]->trace_id);
-  EXPECT_EQ(workers[0]->parent, 0u);
 #endif
 }
 
@@ -293,9 +268,7 @@ TEST(ObservabilityFaultTest, RetriedAndDuplicatedFramesNeverCrossLinkTraces) {
 // ---- structured events --------------------------------------------------------
 
 TEST(ObservabilityEventTest, RefreshEmitsPrepareCommitPairAndSlowRequestsLog) {
-  typename P2Server<MockGroup>::Options opt;
-  opt.slow_request_ms = 1e-6;  // everything is "slow": the event must fire
-  Obs svc(opt);
+  Obs svc;
   auto client = svc.client();
   crypto::Rng rng(6);
   const auto m = svc.gg.gt_random(rng);
@@ -311,7 +284,6 @@ TEST(ObservabilityEventTest, RefreshEmitsPrepareCommitPairAndSlowRequestsLog) {
   };
   EXPECT_TRUE(has(telemetry::EventKind::EpochPrepare));
   EXPECT_TRUE(has(telemetry::EventKind::EpochCommit));
-  EXPECT_TRUE(has(telemetry::EventKind::SlowRequest));
   const std::string dump = telemetry::EventLog::global().dump_jsonl();
   EXPECT_NE(dump.find("\"kind\":\"epoch-commit\""), std::string::npos);
 #else

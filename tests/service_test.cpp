@@ -1,11 +1,13 @@
-// Service runtime: epoch admission state machine, the end-to-end decryption
-// service over real sockets, refresh/decrypt interleaving under
-// multi-threaded load (the continual-leakage deployment loop of §1.1/§4.4 run
-// as a server workload), the two-phase epoch commit with its journaled
-// crash/reconnect recovery, and the deterministic fault-injection chaos soak.
+// Single-key service runtime: the end-to-end decryption service over real
+// sockets (a DecryptionClient against a KsServer holding one key under
+// default_key_id()), refresh/decrypt interleaving under multi-threaded load
+// (the continual-leakage deployment loop of §1.1/§4.4 run as a server
+// workload), the two-phase epoch commit with its journaled crash/reconnect
+// recovery, and the deterministic fault-injection chaos soak.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <thread>
@@ -13,9 +15,9 @@
 
 #include "crypto/sha256.hpp"
 #include "group/mock_group.hpp"
+#include "keystore/ks_server.hpp"
 #include "service/client.hpp"
 #include "service/journal.hpp"
-#include "service/p2_server.hpp"
 #include "telemetry/events.hpp"
 #include "transport/fault.hpp"
 
@@ -24,7 +26,9 @@ namespace {
 
 using group::make_mock;
 using group::MockGroup;
+using keystore::default_key_id;
 using Core = schemes::DlrCore<MockGroup>;
+using Server = keystore::KsServer<MockGroup>;
 
 schemes::DlrParams mock_params() {
   const auto gg = make_mock();
@@ -38,91 +42,13 @@ std::string make_state_dir() {
   return tmpl;
 }
 
-// ---- epoch coordinator --------------------------------------------------------
-
-TEST(EpochCoordinatorTest, StaleEpochRejectedBeforeTouchingTheShare) {
-  EpochCoordinator c(3);
-  EXPECT_EQ(c.begin_decrypt(2), EpochCoordinator::Admit::Stale);
-  EXPECT_EQ(c.begin_decrypt(4), EpochCoordinator::Admit::Stale);
-  EXPECT_EQ(c.inflight(), 0u);
-  EXPECT_EQ(c.begin_decrypt(3), EpochCoordinator::Admit::Accepted);
-  EXPECT_EQ(c.inflight(), 1u);
-  c.end_decrypt();
-  EXPECT_EQ(c.inflight(), 0u);
-}
-
-TEST(EpochCoordinatorTest, RefreshDrainsInflightAndRejectsNewDecrypts) {
-  EpochCoordinator c;
-  ASSERT_EQ(c.begin_decrypt(0), EpochCoordinator::Admit::Accepted);
-
-  std::atomic<bool> refreshed{false};
-  std::thread refresher([&] {
-    ASSERT_EQ(c.begin_refresh(0), EpochCoordinator::Admit::Accepted);
-    refreshed.store(true);
-    c.finish_refresh(true);
-  });
-
-  // Wait until the refresher is draining: new decryptions bounce as Draining.
-  // (Polls that land before draining_ is set are Accepted and must be paired
-  // with end_decrypt, or the drain we are waiting for would never finish.)
-  for (;;) {
-    const auto admit = c.begin_decrypt(0);
-    if (admit == EpochCoordinator::Admit::Draining) break;
-    ASSERT_EQ(admit, EpochCoordinator::Admit::Accepted);
-    c.end_decrypt();
-    std::this_thread::yield();
-  }
-  EXPECT_FALSE(refreshed.load()) << "refresh ran while a decryption was in flight";
-
-  c.end_decrypt();  // drain completes; refresher proceeds
-  refresher.join();
-  EXPECT_TRUE(refreshed.load());
-  EXPECT_EQ(c.epoch(), 1u);
-  EXPECT_EQ(c.begin_decrypt(1), EpochCoordinator::Admit::Accepted);
-  c.end_decrypt();
-}
-
-TEST(EpochCoordinatorTest, FailedRefreshKeepsTheEpoch) {
-  EpochCoordinator c;
-  ASSERT_EQ(c.begin_refresh(0), EpochCoordinator::Admit::Accepted);
-  c.finish_refresh(false);
-  EXPECT_EQ(c.epoch(), 0u);
-  ASSERT_EQ(c.begin_refresh(0), EpochCoordinator::Admit::Accepted);
-  c.finish_refresh(true);
-  EXPECT_EQ(c.epoch(), 1u);
-}
-
-TEST(EpochCoordinatorTest, ConcurrentRefreshesSerialize) {
-  EpochCoordinator c;
-  constexpr int kRefreshers = 4;
-  std::vector<std::thread> ts;
-  std::atomic<int> accepted{0};
-  for (int i = 0; i < kRefreshers; ++i)
-    ts.emplace_back([&] {
-      // Each claims whatever the current epoch is; losers see Stale.
-      for (;;) {
-        const auto e = c.epoch();
-        const auto admit = c.begin_refresh(e);
-        if (admit == EpochCoordinator::Admit::Accepted) {
-          accepted.fetch_add(1);
-          c.finish_refresh(true);
-          return;
-        }
-        // Stale: epoch moved between read and admission; retry once more.
-      }
-    });
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(accepted.load(), kRefreshers);
-  EXPECT_EQ(c.epoch(), static_cast<std::uint64_t>(kRefreshers));
-}
-
 // ---- end-to-end service -------------------------------------------------------
 
 struct Service {
   MockGroup gg = make_mock();
   schemes::DlrParams prm = mock_params();
   Core::KeyGenResult kg;
-  std::unique_ptr<P2Server<MockGroup>> server;
+  std::unique_ptr<Server> server;
   std::shared_ptr<P1Runtime<MockGroup>> p1;
   std::uint64_t seed;
   std::string server_dir;  // empty = volatile server
@@ -133,31 +59,40 @@ struct Service {
       : seed(seed_), server_dir(std::move(server_dir_)) {
     crypto::Rng rng(seed);
     kg = Core::gen(gg, prm, rng);
-    typename P2Server<MockGroup>::Options opt;
-    opt.workers = workers;
-    opt.state_dir = server_dir;
-    opt.pipeline = pipeline;
-    server = std::make_unique<P2Server<MockGroup>>(gg, prm, kg.sk2, crypto::Rng(seed + 1),
-                                                   opt);
-    server->start();
+    start_server(seed + 1, workers, pipeline);
+    server->store().put(default_key_id(), kg.sk2);
     p1 = std::make_shared<P1Runtime<MockGroup>>(gg, prm, kg.pk, kg.sk1,
                                                 schemes::P1Mode::Plain,
                                                 crypto::Rng(seed + 2), std::move(p1_dir));
   }
   ~Service() { server->stop(); }
 
+  void start_server(std::uint64_t rng_seed, int workers, bool pipeline = true) {
+    typename Server::Options opt;
+    opt.workers = workers;
+    opt.store.state_dir = server_dir;
+    opt.pipeline = pipeline;
+    server = std::make_unique<Server>(gg, prm, crypto::Rng(rng_seed), opt);
+    server->start();
+  }
+
   /// Simulate a server crash + restart: tear the server down and bring a new
-  /// one up from the same state_dir, seeding it with `decoy_sk2` to prove the
-  /// journal (not the constructor argument) defines the recovered share.
-  void restart_server(typename Core::Sk2 decoy_sk2, int workers = 4) {
+  /// one up from the same state_dir. Nothing is put: the key, its share and
+  /// its epoch come back from the store's journal alone.
+  void restart_server(int workers = 4) {
     server->stop();
     server.reset();
-    typename P2Server<MockGroup>::Options opt;
-    opt.workers = workers;
-    opt.state_dir = server_dir;
-    server = std::make_unique<P2Server<MockGroup>>(gg, prm, std::move(decoy_sk2),
-                                                   crypto::Rng(seed + 3), opt);
-    server->start();
+    start_server(seed + 3, workers);
+  }
+
+  [[nodiscard]] std::uint64_t epoch() const { return server->store().epoch_of(default_key_id()); }
+  [[nodiscard]] Core::Sk2 share() const { return server->store().share(default_key_id()); }
+  /// Decryptions served since the last refresh: each one charges the key's
+  /// leakage ledger exactly leak_per_dec_bits.
+  [[nodiscard]] std::uint64_t decs_served() const {
+    const auto& so = server->store().options();
+    return std::llround(server->store().spent_frac(default_key_id()) * so.budget_bits /
+                        so.leak_per_dec_bits);
   }
 
   DecryptionClient<MockGroup> client(typename DecryptionClient<MockGroup>::Options opt = {}) {
@@ -174,8 +109,8 @@ TEST(ServiceTest, DecryptOverRealSocketsIsCorrect) {
     const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt_once(c), m));
   }
-  EXPECT_EQ(svc.server->requests_served(), 5u);
-  EXPECT_EQ(svc.server->epoch(), 0u);
+  EXPECT_EQ(svc.decs_served(), 5u);
+  EXPECT_EQ(svc.epoch(), 0u);
 }
 
 TEST(ServiceTest, RefreshAdvancesBothEpochsAndDecryptionStillWorks) {
@@ -188,11 +123,11 @@ TEST(ServiceTest, RefreshAdvancesBothEpochsAndDecryptionStillWorks) {
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt_once(c), m));
     client.refresh();
     EXPECT_EQ(client.epoch(), static_cast<std::uint64_t>(round + 1));
-    EXPECT_EQ(svc.server->epoch(), static_cast<std::uint64_t>(round + 1));
+    EXPECT_EQ(svc.epoch(), static_cast<std::uint64_t>(round + 1));
   }
   // The sharing rotated three times; the shared secret did not move.
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.share();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
 }
 
@@ -285,10 +220,10 @@ TEST(ServiceInterleaveTest, HammerWithAutoRefreshEveryKDecryptsCorrectly) {
   for (auto& t : ts) t.join();
 
   EXPECT_EQ(wrong.load(), 0);
-  EXPECT_GE(svc.server->epoch(), 1u) << "auto-refresh never fired";
-  EXPECT_EQ(svc.server->epoch(), client.epoch());
+  EXPECT_GE(svc.epoch(), 1u) << "auto-refresh never fired";
+  EXPECT_EQ(svc.epoch(), client.epoch());
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.share();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
       << "refresh under load changed the shared msk";
 }
@@ -337,10 +272,10 @@ TEST(ServiceInterleaveTest, RawDecryptsRacingRefreshesAreCorrectOrRetryable) {
   EXPECT_EQ(wrong.load(), 0) << "a raced decryption returned a wrong plaintext";
   EXPECT_EQ(nonretryable.load(), 0) << "a raced decryption failed non-retryably";
   EXPECT_GT(ok.load(), 0);
-  EXPECT_GE(svc.server->epoch(), 1u);
+  EXPECT_GE(svc.epoch(), 1u);
 
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.share();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
 }
 
@@ -358,10 +293,10 @@ TEST(ServiceTest, StopIsOrderlyAndIdempotent) {
   svc.server->stop();
 }
 
-// ---- PR 8: pipelined decryption path ------------------------------------------
+// ---- pipelined decryption path ------------------------------------------------
 
 TEST(ServicePipelineTest, PipelineOffIsStillCorrect) {
-  // The unbatched PR 2 path stays alive as the control; it must keep working
+  // The unbatched path stays alive as the control; it must keep working
   // when the pipeline is disabled explicitly.
   Service svc(/*workers=*/4, /*seed=*/7600, {}, {}, /*pipeline=*/false);
   auto client = svc.client();
@@ -371,14 +306,14 @@ TEST(ServicePipelineTest, PipelineOffIsStillCorrect) {
     const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt_once(c), m));
   }
-  EXPECT_EQ(svc.server->requests_served(), 3u);
+  EXPECT_EQ(svc.decs_served(), 3u);
 }
 
 TEST(ServicePipelineTest, BatchesFormAndEpochsNeverMix) {
   // Fan-in load with refreshes firing: batches must form (the histogram
-  // records every batch) and no batch may ever span two epochs -- admission
-  // at enqueue time makes a mixed batch structurally impossible; the
-  // defensive counter must therefore stay at zero.
+  // records every batch) and no batch may ever span two epochs -- a batch is
+  // served inside one KeyStore::DecSession, whose shared entry lock a
+  // refresh must wait out, so the session's epoch cannot move under it.
 #if DLR_TELEMETRY_ENABLED
   auto& reg = telemetry::Registry::global();
   const auto batches_before = reg.histogram("svc.batch.size").count();
@@ -405,13 +340,26 @@ TEST(ServicePipelineTest, BatchesFormAndEpochsNeverMix) {
     });
   for (auto& t : ts) t.join();
   EXPECT_EQ(wrong.load(), 0);
-  EXPECT_GE(svc.server->epoch(), 1u);
+  EXPECT_GE(svc.epoch(), 1u);
 #if DLR_TELEMETRY_ENABLED
   EXPECT_GT(reg.histogram("svc.batch.size").count(), batches_before)
       << "pipelined requests never went through the batch collector";
-  EXPECT_EQ(reg.counter("svc.batch.epoch_mixed").value(), 0u)
-      << "a batch mixed two epochs";
 #endif
+  std::atomic<bool> refreshed{false};
+  std::thread refresher;
+  {
+    auto session = svc.server->store().dec_session(default_key_id());
+    const auto e0 = session.epoch();
+    refresher = std::thread([&] {
+      client.refresh();
+      refreshed.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(refreshed.load()) << "a refresh installed under an open batch";
+    EXPECT_EQ(session.epoch(), e0) << "a batch mixed two epochs";
+  }
+  refresher.join();
+  EXPECT_TRUE(refreshed.load());
 }
 
 TEST(ServicePipelineTest, SeveredConnectionMidBatchFailsOnlyThatRequest) {
@@ -442,24 +390,6 @@ TEST(ServicePipelineTest, SeveredConnectionMidBatchFailsOnlyThatRequest) {
     const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt_once(c), m));
   }
-}
-
-TEST(EpochCoordinatorTest, DrainDeadlineFailsTheRefreshCleanly) {
-  EpochCoordinator c;
-  // A decryption that never ends (dead worker) must not wedge refresh forever.
-  ASSERT_EQ(c.begin_decrypt(0), EpochCoordinator::Admit::Accepted);
-  EXPECT_EQ(c.begin_refresh(0, std::chrono::milliseconds{50}),
-            EpochCoordinator::Admit::DrainTimeout);
-  EXPECT_EQ(c.epoch(), 0u);
-  // The machine is back in Serving: new decryptions are admitted.
-  ASSERT_EQ(c.begin_decrypt(0), EpochCoordinator::Admit::Accepted);
-  c.end_decrypt();
-  // Once the wedged decryption ends, the retried refresh succeeds.
-  c.end_decrypt();
-  ASSERT_EQ(c.begin_refresh(0, std::chrono::milliseconds{50}),
-            EpochCoordinator::Admit::Accepted);
-  c.finish_refresh(true);
-  EXPECT_EQ(c.epoch(), 1u);
 }
 
 // ---- journal ------------------------------------------------------------------
@@ -537,8 +467,8 @@ TEST(ServiceTwoPhaseTest, DuplicatePrepareAndCommitAreIdempotent) {
   const Bytes r2a = expect_ok(roundtrip(kLabelRefReq, req), kLabelRefOk);
   const Bytes r2b = expect_ok(roundtrip(kLabelRefReq, req), kLabelRefOk);
   EXPECT_EQ(r2a, r2b);
-  EXPECT_EQ(svc.server->epoch(), 0u) << "prepare must not advance the epoch";
-  EXPECT_TRUE(svc.server->has_pending_for_test());
+  EXPECT_EQ(svc.epoch(), 0u) << "prepare must not advance the epoch";
+  EXPECT_TRUE(svc.server->store().has_pending(default_key_id()));
 
   // COMMIT twice: first installs (epoch 1), second acks idempotently.
   const Bytes digest = crypto::digest_to_bytes(crypto::Sha256::hash(r1));
@@ -547,13 +477,13 @@ TEST(ServiceTwoPhaseTest, DuplicatePrepareAndCommitAreIdempotent) {
             1u);
   EXPECT_EQ(decode_commit_ok(expect_ok(roundtrip(kLabelRefCommit, cbody), kLabelRefCommitOk)),
             1u);
-  EXPECT_EQ(svc.server->epoch(), 1u);
-  EXPECT_FALSE(svc.server->has_pending_for_test());
+  EXPECT_EQ(svc.epoch(), 1u);
+  EXPECT_FALSE(svc.server->store().has_pending(default_key_id()));
 
   // Both halves installed exactly once: the msk is intact.
   party.ref_finish(r2a);
   EXPECT_TRUE(svc.gg.g_eq(
-      Core::reconstruct_msk(svc.gg, party.recover_share_for_test(), svc.server->share_for_test()),
+      Core::reconstruct_msk(svc.gg, party.recover_share_for_test(), svc.share()),
       svc.kg.msk));
 
   // A commit for a digest nobody prepared is rejected, not applied.
@@ -614,11 +544,11 @@ TEST(ServiceTwoPhaseTest, RefreshInterruptedAtEveryFrameConvergesWithoutForking)
     client.refresh();  // must converge despite the injected fault
 
     EXPECT_EQ(client.epoch(), 1u);
-    EXPECT_EQ(svc.server->epoch(), 1u) << "client and server epochs diverged";
+    EXPECT_EQ(svc.epoch(), 1u) << "client and server epochs diverged";
     ASSERT_NE(injector, nullptr);
     EXPECT_GE(injector->injected(), 1u) << "the fault never fired";
     const auto sk1 = svc.p1->share_for_test();
-    const auto sk2 = svc.server->share_for_test();
+    const auto sk2 = svc.share();
     EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
         << "interrupted refresh forked the key material";
     crypto::Rng rng(100 + i);
@@ -635,23 +565,20 @@ TEST(ServiceRecoveryTest, ServerRestartResumesShareAndEpochFromJournal) {
   auto client = svc.client();
   crypto::Rng rng(41);
   client.refresh();
-  ASSERT_EQ(svc.server->epoch(), 1u);
+  ASSERT_EQ(svc.epoch(), 1u);
 
-  // "Crash" the server; bring a new one up from the journal, seeded with a
-  // decoy share from an unrelated keygen to prove the journal wins.
-  crypto::Rng decoy_rng(999);
-  auto decoy = Core::gen(svc.gg, svc.prm, decoy_rng);
-  svc.restart_server(std::move(decoy.sk2));
+  // "Crash" the server; bring a new one up from the journal alone.
+  svc.restart_server();
 
-  EXPECT_TRUE(svc.server->recovered_from_journal());
-  EXPECT_EQ(svc.server->epoch(), 1u) << "epoch not restored from the journal";
+  EXPECT_TRUE(svc.server->store().contains(default_key_id()));
+  EXPECT_EQ(svc.epoch(), 1u) << "epoch not restored from the journal";
   auto client2 = svc.client();  // fresh connection + hello reconciliation
-  EXPECT_EQ(client2.epoch(), svc.server->epoch());
+  EXPECT_EQ(client2.epoch(), svc.epoch());
   const auto m = svc.gg.gt_random(rng);
   const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
   EXPECT_TRUE(svc.gg.gt_eq(client2.decrypt(c), m));
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.share();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
 }
 
@@ -688,13 +615,13 @@ TEST(ServiceRecoveryTest, ClientCrashAfterPrepareRollsBackOnRestart) {
   auto client = svc.client();  // ctor hello applies the Rollback verdict
   EXPECT_FALSE(svc.p1->pending_info().active);
   EXPECT_EQ(client.epoch(), 0u);
-  EXPECT_EQ(svc.server->epoch(), 0u);
+  EXPECT_EQ(svc.epoch(), 0u);
   crypto::Rng rng(44);
   const auto m = svc.gg.gt_random(rng);
   const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
   EXPECT_TRUE(svc.gg.gt_eq(client.decrypt(c), m));
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.share();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk));
 }
 
@@ -723,7 +650,7 @@ TEST(ServiceRecoveryTest, ClientCrashAfterServerCommitRollsForwardOnRestart) {
       auto client = svc.client(opt);
       EXPECT_THROW(client.refresh(), transport::TransportError);
     }
-    ASSERT_EQ(svc.server->epoch(), 1u) << "server should have installed the refresh";
+    ASSERT_EQ(svc.epoch(), 1u) << "server should have installed the refresh";
     // Process restart from the journal.
     svc.p1 = std::make_shared<P1Runtime<MockGroup>>(svc.gg, svc.prm, svc.kg.pk, svc.kg.sk1,
                                                     mode, crypto::Rng(46), p1_dir);
@@ -732,13 +659,13 @@ TEST(ServiceRecoveryTest, ClientCrashAfterServerCommitRollsForwardOnRestart) {
     auto client = svc.client();  // ctor hello applies the Commit verdict
     EXPECT_FALSE(svc.p1->pending_info().active);
     EXPECT_EQ(client.epoch(), 1u);
-    EXPECT_EQ(svc.server->epoch(), 1u);
+    EXPECT_EQ(svc.epoch(), 1u);
     crypto::Rng rng(47);
     const auto m = svc.gg.gt_random(rng);
     const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
     EXPECT_TRUE(svc.gg.gt_eq(client.decrypt(c), m));
     const auto sk1 = svc.p1->share_for_test();
-    const auto sk2 = svc.server->share_for_test();
+    const auto sk2 = svc.share();
     EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
         << "roll-forward recovery forked the key material";
   }
@@ -824,14 +751,14 @@ TEST(ServiceChaosTest, SeededChaosSoakNeverReturnsAWrongPlaintext) {
   // One clean connection reconciles whatever the chaos left half-done...
   auto clean = svc.client();
   EXPECT_FALSE(svc.p1->pending_info().active);
-  EXPECT_EQ(clean.epoch(), svc.server->epoch()) << "epochs failed to reconcile";
+  EXPECT_EQ(clean.epoch(), svc.epoch()) << "epochs failed to reconcile";
   // ...and the invariants hold: correct decryption, unchanged msk.
   crypto::Rng rng(9999);
   const auto m = svc.gg.gt_random(rng);
   const auto c = Core::enc(svc.gg, svc.kg.pk, m, rng);
   EXPECT_TRUE(svc.gg.gt_eq(clean.decrypt(c), m));
   const auto sk1 = svc.p1->share_for_test();
-  const auto sk2 = svc.server->share_for_test();
+  const auto sk2 = svc.share();
   EXPECT_TRUE(svc.gg.g_eq(Core::reconstruct_msk(svc.gg, sk1, sk2), svc.kg.msk))
       << "chaos soak changed the shared msk";
 }
@@ -845,20 +772,20 @@ struct TinyServer {
   MockGroup gg = make_mock();
   schemes::DlrParams prm = mock_params();
   Core::KeyGenResult kg;
-  std::unique_ptr<P2Server<MockGroup>> server;
+  std::unique_ptr<Server> server;
   std::shared_ptr<P1Runtime<MockGroup>> p1;
 
   explicit TinyServer(std::chrono::microseconds crypto_delay,
                       std::size_t queue_cap = 2) {
     crypto::Rng rng(7400);
     kg = Core::gen(gg, prm, rng);
-    typename P2Server<MockGroup>::Options opt;
+    typename Server::Options opt;
     opt.workers = 1;
     opt.max_batch = 1;
     opt.queue_cap = queue_cap;
     opt.inject_crypto_delay = crypto_delay;
-    server = std::make_unique<P2Server<MockGroup>>(gg, prm, kg.sk2, crypto::Rng(7401),
-                                                   opt);
+    server = std::make_unique<Server>(gg, prm, crypto::Rng(7401), opt);
+    server->store().put(default_key_id(), kg.sk2);
     server->start();
     p1 = std::make_shared<P1Runtime<MockGroup>>(gg, prm, kg.pk, kg.sk1,
                                                 schemes::P1Mode::Plain,
@@ -1039,10 +966,10 @@ TEST(ServiceOverloadTest, BreakerRecoveryEmitsOpenAndCloseEvents) {
 
   // Bring the endpoint back on the SAME port; once the cooldown elapses the
   // half-open probe succeeds and the breaker closes again.
-  typename P2Server<MockGroup>::Options sopt;
+  typename Server::Options sopt;
   sopt.workers = 1;
-  svc.server = std::make_unique<P2Server<MockGroup>>(svc.gg, svc.prm, svc.kg.sk2,
-                                                     crypto::Rng(7461), sopt);
+  svc.server = std::make_unique<Server>(svc.gg, svc.prm, crypto::Rng(7461), sopt);
+  svc.server->store().put(default_key_id(), svc.kg.sk2);
   svc.server->start(port);
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_TRUE(svc.gg.gt_eq(client.decrypt(c), m));

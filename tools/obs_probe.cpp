@@ -5,8 +5,8 @@
 // appear), then exercises every admin route the way an operator would:
 //
 //   1. scrape adm.metrics and run the strict Prometheus lint on the body;
-//   2. parse the exposition and check svc_requests == N (the acceptance
-//      criterion: the scrape agrees with the work actually issued);
+//   2. parse the exposition and check ks_dec_total == N (the scrape agrees
+//      with the work actually issued);
 //   3. fetch adm.health and sanity-check the JSON mentions both parties;
 //   4. dump adm.events and require the epoch prepare/commit pair;
 //   5. dump adm.spans and require a traced server-side svc.dec span.
@@ -19,9 +19,9 @@
 #include <string>
 
 #include "group/mock_group.hpp"
+#include "keystore/ks_server.hpp"
 #include "service/admin.hpp"
 #include "service/client.hpp"
-#include "service/p2_server.hpp"
 #include "telemetry/export.hpp"
 
 using namespace dlr;
@@ -54,10 +54,11 @@ int main(int argc, char** argv) {
   crypto::Rng rng(42);
   auto kg = Core::gen(gg, prm, rng);
 
-  service::P2Server<MockGroup>::Options sopt;
+  keystore::KsServer<MockGroup>::Options sopt;
   sopt.workers = 2;
   sopt.admin = true;
-  service::P2Server<MockGroup> server(gg, prm, kg.sk2, crypto::Rng(43), sopt);
+  keystore::KsServer<MockGroup> server(gg, prm, crypto::Rng(43), sopt);
+  server.store().put(keystore::default_key_id(), kg.sk2);
   server.start();
 
   auto p1 = std::make_shared<service::P1Runtime<MockGroup>>(
@@ -81,20 +82,20 @@ int main(int argc, char** argv) {
   check(lint.empty(), "prometheus lint" + (lint.empty() ? "" : ": " + lint));
 
   const auto samples = telemetry::parse_prometheus(metrics);
-  const auto it = samples.find("svc_requests");
+  const auto it = samples.find("ks_dec_total");
 #if DLR_TELEMETRY_ENABLED
   check(it != samples.end() &&
             it->second == static_cast<double>(requests),
-        "svc_requests == " + std::to_string(requests) +
+        "ks_dec_total == " + std::to_string(requests) +
             (it == samples.end() ? " (sample missing)"
                                  : " (got " + std::to_string(it->second) + ")"));
 #else
-  check(it == samples.end(), "telemetry off: no svc_requests sample");
+  check(it == samples.end(), "telemetry off: no ks_dec_total sample");
 #endif
 
   const std::string health = service::AdminClient::fetch(port, service::kAdmHealth);
   if (dump) std::printf("%s\n", health.c_str());
-  check(health.find("\"p2\"") != std::string::npos, "health has a p2 section");
+  check(health.find("\"keystore\"") != std::string::npos, "health has a keystore section");
   check(health.find("\"p1\"") != std::string::npos, "health has a p1 section");
   check(health.find("\"epoch\":\"1\"") != std::string::npos,
         "health shows the post-refresh epoch");
